@@ -19,9 +19,11 @@ from pathlib import Path
 from .cantor import Cylinder, ProductMeasure
 from .index import map_ordered, s_index_exact, s_index_montecarlo
 from .onedim import InconclusiveTruncationError, build_line, fredholm_index
-from .symbol import (SymbolLoop, SymbolSingularError, falk_cylinder_pairing,
-                     falk_pairing, loop_min, poles, solve_w0,
-                     winding_quadrature, winding_residues)
+from .symbol import (FALK_MIN_TRUNC, QUADRATURE_MIN_SAMPLES, SymbolLoop,
+                     SymbolSingularError, falk_cylinder_pairing, falk_pairing,
+                     loop_min, poles, solve_w0, winding_quadrature,
+                     winding_residues)
+from .tree import MAX_DEPTH
 from .treeop import IDENTITY_NAMES, build_bundle, check_identities
 from .walk import ValidationError, parse_line_walk, parse_walk
 
@@ -51,35 +53,55 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise ValidationError(f"{flag} must be at least {low}, got {value}")
+
+
 def _parse_measure(spec: str) -> ProductMeasure:
     if spec == "uniform":
         return ProductMeasure.uniform()
     if spec.startswith("bernoulli:"):
         try:
-            theta = float(spec.split(":", 1)[1])
-        except ValueError:
-            raise ValidationError(f"bad measure {spec!r}") from None
-        return ProductMeasure.bernoulli(theta)
+            return ProductMeasure.bernoulli(float(spec.split(":", 1)[1]))
+        except ValueError as exc:
+            raise ValidationError(f"bad measure {spec!r}: {exc}") from None
     raise ValidationError(f"unknown measure {spec!r} (use uniform or bernoulli:THETA)")
+
+
+def _parse_cylinder(prefix: str) -> Cylinder:
+    try:
+        return Cylinder(prefix)
+    except ValueError:
+        raise ValidationError(f"--cylinder must be a bit string, got {prefix!r}") from None
 
 
 def _parse_grid(text: str) -> list[float]:
     """Comma list '0,0.25,0.5' or range 'start:stop:step' (stop inclusive)."""
+    def floats(parts):
+        try:
+            return [float(x) for x in parts]
+        except ValueError as exc:
+            raise ValidationError(f"bad grid {text!r}: {exc}") from None
+
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValidationError(f"bad grid {text!r} (use start:stop:step)")
-        start, stop, step = (float(x) for x in parts)
+        start, stop, step = floats(parts)
         if step <= 0:
             raise ValidationError("grid step must be positive")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         return [start + i * step for i in range(max(count, 0))]
     if not text.strip():
         return []
-    return [float(x) for x in text.split(",")]
+    return floats(text.split(","))
 
 
 def cmd_check(args) -> int:
+    # the identities are checked two layers in from the truncation depth
+    if not 2 <= args.depth <= MAX_DEPTH:
+        raise ValidationError(f"--depth must lie in [2, {MAX_DEPTH}], got {args.depth}")
     w = parse_walk(_read_text(args.walk))
     bundle = build_bundle(w, args.depth)
     residuals = check_identities(bundle)
@@ -112,6 +134,7 @@ def _loop_from_args(args) -> SymbolLoop:
 
 
 def cmd_winding(args) -> int:
+    _at_least("--samples", args.samples, QUADRATURE_MIN_SAMPLES)
     s = _loop_from_args(args)
     min_abs, witness = loop_min(s, args.samples)
     doc: dict = {
@@ -141,8 +164,10 @@ def cmd_winding(args) -> int:
 
 
 def cmd_index(args) -> int:
-    w = parse_walk(_read_text(args.walk))
     measure = _parse_measure(args.measure)
+    if args.mode == "mc":
+        _at_least("--samples", args.samples, 1)
+    w = parse_walk(_read_text(args.walk))
     workers = max(args.workers, 1)
     if args.mode == "exact":
         report = s_index_exact(w, measure, workers=workers)
@@ -165,9 +190,11 @@ def cmd_onedim(args) -> int:
 
 
 def cmd_falk(args) -> int:
+    _at_least("--trunc", args.trunc, FALK_MIN_TRUNC)
     if args.cylinder is not None:
+        cylinder = _parse_cylinder(args.cylinder)
         measure = _parse_measure(args.measure)
-        value = falk_cylinder_pairing(Cylinder(args.cylinder), measure, args.trunc)
+        value = falk_cylinder_pairing(cylinder, measure, args.trunc)
         doc = {"cylinder": args.cylinder, "measure": args.measure,
                "trunc": args.trunc, "pairing": value}
     else:
@@ -180,6 +207,7 @@ def cmd_falk(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _at_least("--samples", args.samples, QUADRATURE_MIN_SAMPLES)
     p_grid = _parse_grid(args.p_grid)
     a_grid = _parse_grid(args.a_grid)
     points = [(p, a) for p in p_grid for a in a_grid]

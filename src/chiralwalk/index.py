@@ -137,18 +137,115 @@ def s_index_exact(w: WalkSpec, m: ProductMeasure, workers: int = 1) -> IndexRepo
     )
 
 
+MC_BLOCK = 1 << 14   # uniforms drawn per block: bounds the decode's memory
+
+
+def _cell_trie(prefixes: list[str]) -> np.ndarray:
+    """Child table of a complete prefix code's trie.
+
+    Row i is an internal node (row 0 the root), column the next bit; an entry
+    >= 0 is another internal node and ``~j`` is the leaf ``prefixes[j]``.
+    """
+    internal = sorted({p[:k] for p in prefixes for k in range(len(p))},
+                      key=lambda v: (len(v), v))
+    node = {v: i for i, v in enumerate(internal)}
+    leaf = {p: j for j, p in enumerate(prefixes)}
+    child = np.empty((len(internal), 2), dtype=np.intp)
+    for v, i in node.items():
+        for bit in (0, 1):
+            c = v + str(bit)
+            child[i, bit] = node[c] if c in node else ~leaf[c]
+    return child
+
+
+def _decode_starts(u: np.ndarray, child: np.ndarray, w0: np.ndarray):
+    """Cell index and next start of the point starting at every position of
+    ``u``, with a sentinel position ``len(u)``.
+
+    Uniform ``u[s + k]`` is bit ``k`` of the point starting at ``s``: "0" when
+    below ``w0[k]``.  All starts descend the trie together, one level per
+    step.  A start whose code runs past the end of ``u``, and the sentinel,
+    keep cell -1 and are their own next start.
+    """
+    n = len(u)
+    cell = np.full(n + 1, -1, dtype=np.intp)
+    nxt = np.arange(n + 1)
+    start = np.arange(n)
+    node = np.zeros(n, dtype=np.intp)
+    for k, threshold in enumerate(w0):
+        keep = np.searchsorted(start, n - k)  # starts whose bit k is in u
+        start, node = start[:keep], node[:keep]
+        node = child[node, (u[start + k] >= threshold).astype(np.intp)]
+        done = node < 0
+        cell[start[done]] = ~node[done]
+        nxt[start[done]] += k + 1
+        start, node = start[~done], node[~done]
+        if not start.size:
+            break
+    return cell, nxt
+
+
+def _orbit(nxt: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` points of the orbit of 0 under ``nxt``, by pointer
+    doubling: ``jumps[j]`` moves 2**j steps."""
+    jumps = [nxt]
+    while 1 << len(jumps) < count:
+        jumps.append(jumps[-1][jumps[-1]])
+    path = np.zeros(1, dtype=nxt.dtype)
+    for jump in reversed(jumps):
+        path = np.column_stack([path, jump[path]]).ravel()
+    return path[:count]
+
+
+def _sample_cells(prefixes: list[str], m: ProductMeasure, samples: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Cell index of each of ``samples`` boundary points drawn from ``m``.
+
+    Bit k of a point is "0" when its uniform is below ``m.weight(k + 1, "0")``
+    and each point reads its bits until they spell a cell, so point i + 1
+    starts at the uniform after point i's last.  The uniforms come from
+    ``rng.random(k)`` in blocks, which is the stream of scalar draws; every
+    start in a block is decoded at once, the chain of starts is followed from
+    the first, and a point cut by the block's end is decoded again with the
+    next block.  Memory is bounded by the block, not by the number of samples
+    times the code length.
+    """
+    max_level = max(len(p) for p in prefixes)
+    if max_level == 0:                        # one cell: the whole boundary
+        return np.zeros(samples, dtype=np.intp)
+    child = _cell_trie(prefixes)
+    w0 = np.array([m.weight(k, "0") for k in range(1, max_level + 1)])
+    chunks, remaining = [], samples
+    u = np.empty(0)
+    while remaining:
+        block = min(remaining * max_level, max(MC_BLOCK, max_level))
+        u = np.concatenate([u, rng.random(block)])
+        cell, nxt = _decode_starts(u, child, w0)
+        path = _orbit(nxt, min(remaining, len(u) + 1))  # a chain in u ends by then
+        cells = cell[path]
+        cut = np.flatnonzero(cells < 0)
+        if cut.size:
+            cells = cells[:cut[0]]
+            u = u[path[cut[0]]:]
+        chunks.append(cells)
+        remaining -= len(cells)
+    return np.concatenate(chunks)
+
+
 def s_index_montecarlo(w: WalkSpec, m: ProductMeasure, samples: int, seed: int,
                        quadrature_samples: int = 4096, workers: int = 1) -> IndexReport:
     """Monte Carlo pairing: mean winding over boundary points drawn from m.
 
-    Points are resolved lazily bit by bit, drawing only enough coordinates to
-    land in a cell of the walk.  Each sampled point contributes the winding of
-    its cell's loop computed by phase-unwrap quadrature and rounded to the
-    nearest integer (the raw value is checked to sit within 1e-6 of it), so
-    the estimator is an exact average of integers.  Deterministic for a fixed
-    seed: the per-cell quadratures are precomputed (in parallel when workers
-    > 1, with no effect on the values) and the bit stream is a single
-    sequential generator, so the worker count never changes the report.
+    Each point draws only enough coordinates to land in a cell of the walk;
+    the bit stream is decoded in vectorized blocks (see ``_sample_cells``)
+    and gives the same cells as drawing one bit per ``rng.random()`` call.
+    Each sampled point contributes the winding of its cell's loop computed by
+    phase-unwrap quadrature and rounded to the nearest integer (the raw value
+    is checked to sit within 1e-6 of it), so the estimator is an exact
+    average of integers.  Deterministic for a fixed seed: the per-cell
+    quadratures are precomputed (in parallel when workers > 1, with no effect
+    on the values) and the bit stream is a single sequential generator, so
+    the worker count never changes the report.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -162,29 +259,18 @@ def s_index_montecarlo(w: WalkSpec, m: ProductMeasure, samples: int, seed: int,
             raise SymbolSingularError(
                 f"quadrature winding {raw} for cell {prefix!r} is not close to an integer",
                 cell=prefix)
-        return prefix, rounded
+        return rounded
 
-    cell_winding = dict(map_ordered(quadrature, checked, workers))
-
-    rng = np.random.default_rng(seed)
-    hits = {prefix: 0 for prefix in cell_winding}
-    values = np.empty(samples, dtype=float)
-    max_level = w.max_level
-    for i in range(samples):
-        prefix = ""
-        while prefix not in cell_winding:
-            coordinate = len(prefix) + 1
-            w0 = m.weight(coordinate, "0")
-            prefix += "0" if rng.random() < w0 else "1"
-            if len(prefix) > max_level:
-                raise AssertionError("sampling escaped the cell partition")
-        hits[prefix] += 1
-        values[i] = cell_winding[prefix]
+    windings = map_ordered(quadrature, checked, workers)
+    prefixes = [prefix for prefix, _, _ in checked]
+    sampled = _sample_cells(prefixes, m, samples, np.random.default_rng(seed))
+    hits = np.bincount(sampled, minlength=len(prefixes)).tolist()
+    values = np.array(windings, dtype=float)[sampled]
 
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
-    per_cell = tuple(CellWinding(prefix, cell_winding[prefix], hits[prefix] / samples)
-                     for prefix in sorted(cell_winding))
+    per_cell = tuple(CellWinding(prefix, winding, count / samples)
+                     for prefix, winding, count in zip(prefixes, windings, hits))
     sampled_counts = {
         "plus": int(np.count_nonzero(values == 1)),
         "zero": int(np.count_nonzero(values == 0)),

@@ -34,7 +34,13 @@ class InconclusiveTruncationError(RuntimeError):
 
 @dataclass
 class LineBundle:
-    """Truncated lattice operators for one line walk."""
+    """Truncated lattice operators for one line walk.
+
+    ``skew = U - U*`` is what ``chirality_map`` compresses, with the shift,
+    symmetry and walk unitary ``U`` it is built from.  The coin is kept only
+    as its per-site data ``a`` and ``b``: ``chirality_map`` writes the coin
+    eigenspaces from them, so no dense coin or projection is stored.
+    """
 
     spec: LineWalkSpec
     halfwidth: int
@@ -43,11 +49,8 @@ class LineBundle:
     b: np.ndarray
     shift: np.ndarray
     symmetry: np.ndarray
-    coin: np.ndarray
     evolution: np.ndarray
     skew: np.ndarray
-    pplus: np.ndarray
-    pminus: np.ndarray
 
 
 def build_line(spec: LineWalkSpec, halfwidth: int) -> LineBundle:
@@ -71,16 +74,10 @@ def build_line(spec: LineWalkSpec, halfwidth: int) -> LineBundle:
     eye = np.eye(n_sites, dtype=np.complex128)
     symmetry = block2(eye, shift.conj().T, shift, -eye) / math.sqrt(2.0)
     cblocks = (a.astype(np.complex128), np.conj(b), b, -a.astype(np.complex128))
-    coin = block2(np.diag(cblocks[0]), np.diag(cblocks[1]),
-                  np.diag(cblocks[2]), np.diag(cblocks[3]))
     evolution = mul_diag_block_right(symmetry, cblocks)
     skew = evolution - evolution.conj().T
-    eye2 = np.eye(2 * n_sites, dtype=np.complex128)
-    pplus = (eye2 + coin) / 2.0
-    pminus = eye2 - pplus
     return LineBundle(spec=spec, halfwidth=halfwidth, sites=sites, a=a, b=b,
-                      shift=shift, symmetry=symmetry, coin=coin,
-                      evolution=evolution, skew=skew, pplus=pplus, pminus=pminus)
+                      shift=shift, symmetry=symmetry, evolution=evolution, skew=skew)
 
 
 def chirality_map(bundle: LineBundle) -> np.ndarray:

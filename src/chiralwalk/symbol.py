@@ -25,6 +25,8 @@ import numpy as np
 from .cantor import Cylinder, ProductMeasure, cylinder_measure
 
 SPHERE_TOL = 1e-12
+QUADRATURE_MIN_SAMPLES = 64   # fewest circle samples winding_quadrature accepts
+FALK_MIN_TRUNC = 16           # smallest window falk_pairing accepts
 
 
 class SymbolSingularError(ValueError):
@@ -142,8 +144,8 @@ def winding_quadrature(s: SymbolLoop, n_samples: int = 4096) -> float:
     the sampling resolves every increment below pi, so the returned real sits
     within 1e-6 of an integer for n_samples >= 4096 on non-degenerate loops.
     """
-    if n_samples < 64:
-        raise ValueError(f"need at least 64 samples, got {n_samples}")
+    if n_samples < QUADRATURE_MIN_SAMPLES:
+        raise ValueError(f"need at least {QUADRATURE_MIN_SAMPLES} samples, got {n_samples}")
     if abs(s.a) == abs(s.p):
         raise SymbolSingularError(f"loop vanishes on the circle: |a| = |p| = {abs(s.a)}")
     angles = 2.0 * np.pi * np.arange(n_samples + 1) / n_samples
@@ -295,8 +297,8 @@ def falk_pairing(f_value: int, trunc: int) -> float:
     """
     if f_value not in (0, 1):
         raise ValueError(f"f must be the scalar 0 or 1, got {f_value}")
-    if trunc < 16:
-        raise ValueError("need truncation >= 16")
+    if trunc < FALK_MIN_TRUNC:
+        raise ValueError(f"need truncation >= {FALK_MIN_TRUNC}")
     pad = trunc + 4
     v = unilateral_shift(pad)
     eye = np.eye(pad, dtype=np.complex128)
@@ -313,16 +315,14 @@ def falk_pairing(f_value: int, trunc: int) -> float:
 
 def falk_cylinder_pairing(cyl: Cylinder, measure: ProductMeasure, trunc: int) -> float:
     """Measure-weighted aggregate of the pointwise Falk pairing over the
-    level partition of ``cyl``: each level cell contributes f = 1 inside the
-    cylinder and f = 0 outside, weighted by its measure."""
-    level = cyl.level
-    total = 0.0
-    for i in range(1 << level):
-        prefix = format(i, f"0{level}b") if level else ""
-        cell = Cylinder(prefix)
-        f_val = 1 if cyl.contains(cell) else 0
-        total += float(cylinder_measure(measure, cell)) * falk_pairing(f_val, trunc)
-    return total
+    boundary, with f = 1 on ``cyl`` and f = 0 off it.
+
+    The pointwise pairing depends only on f, so the aggregate is
+    mu(cyl) falk(1) + (1 - mu(cyl)) falk(0): two pairings, whatever the level
+    of the cylinder.  Both are exact (1.0 and 0.0), so the value is mu(cyl).
+    """
+    mu = float(cylinder_measure(measure, cyl))
+    return mu * falk_pairing(1, trunc) + (1.0 - mu) * falk_pairing(0, trunc)
 
 
 def loop_min(s: SymbolLoop, samples: int = 8192) -> tuple[float, complex]:

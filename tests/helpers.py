@@ -43,3 +43,41 @@ def random_walk_spec(rng: np.random.Generator, max_level: int = 3,
                 break
         cells.append((prefix, sphere_coeff(a, float(rng.uniform(0.0, 2.0 * np.pi)))))
     return WalkSpec.make(p, q, cells)
+
+
+def reference_montecarlo(w: WalkSpec, m, samples: int, seed: int,
+                         quadrature_samples: int = 4096):
+    """The scalar Monte Carlo pairing: one ``rng.random()`` and one
+    ``m.weight`` call per boundary bit.  Reference for the vectorized decode
+    in ``s_index_montecarlo``, whose reports must match it byte for byte."""
+    from chiralwalk.index import CellWinding, IndexReport, loop_for_cell
+    from chiralwalk.symbol import winding_quadrature
+
+    cell_winding = {prefix: int(round(winding_quadrature(loop_for_cell(w, coeff),
+                                                         quadrature_samples)))
+                    for prefix, coeff in w.cells}
+    rng = np.random.default_rng(seed)
+    hits = {prefix: 0 for prefix in cell_winding}
+    values = np.empty(samples, dtype=float)
+    for i in range(samples):
+        prefix = ""
+        while prefix not in cell_winding:
+            w0 = m.weight(len(prefix) + 1, "0")
+            prefix += "0" if rng.random() < w0 else "1"
+        hits[prefix] += 1
+        values[i] = cell_winding[prefix]
+    stderr = float(values.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
+    return IndexReport(
+        mode="mc",
+        numeric=float(values.mean()),
+        per_cell=tuple(CellWinding(prefix, cell_winding[prefix], hits[prefix] / samples)
+                       for prefix in sorted(cell_winding)),
+        classification_counts={
+            "plus": int(np.count_nonzero(values == 1)),
+            "zero": int(np.count_nonzero(values == 0)),
+            "minus": int(np.count_nonzero(values == -1)),
+        },
+        mc_stderr=stderr,
+        samples=samples,
+        seed=seed,
+    )

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -192,3 +195,106 @@ def test_output_file(capsys, walk_file, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(out_path.read_text())["numeric"] == 0.25
+
+
+@pytest.mark.parametrize("argv", [
+    ["index", "--mode", "mc", "--samples", "0"],
+    ["index", "--measure", "bernoulli:1.5"],
+    ["falk", "--cylinder", "012"],
+    ["falk", "--f-value", "1", "--trunc", "5"],
+    ["winding", "--a", "0.5", "--samples", "10"],
+    ["sweep", "--samples", "0", "--p-grid", "0", "--a-grid", "0.5"],
+    ["sweep", "--p-grid", "0,x"],
+    ["check", "--depth", "0"],
+    ["check", "--depth", "21"],
+], ids=" ".join)
+def test_invalid_arguments_exit_3_before_work(capsys, walk_file, argv):
+    if argv[0] in ("index", "check"):
+        argv = argv + ["--walk", walk_file]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+# reports pinned byte for byte: the block-decoded Monte Carlo stream and the
+# closed-form cylinder pairing must reproduce what the scalar loops printed
+GOLDEN_INDEX_MC = """{
+  "classification_counts": {
+    "minus": 779,
+    "plus": 757,
+    "zero": 464
+  },
+  "exact": null,
+  "mc_stderr": 0.01959927462389594,
+  "mode": "mc",
+  "numeric": -0.011,
+  "per_cell": [
+    {
+      "measure": 0.1345,
+      "prefix": "00",
+      "winding": 1
+    },
+    {
+      "measure": 0.244,
+      "prefix": "01",
+      "winding": 1
+    },
+    {
+      "measure": 0.232,
+      "prefix": "10",
+      "winding": 0
+    },
+    {
+      "measure": 0.3895,
+      "prefix": "11",
+      "winding": -1
+    }
+  ],
+  "samples": 2000,
+  "seed": 11
+}
+"""
+
+
+def test_index_mc_golden(capsys, walk_file):
+    code, out, _ = run(capsys, "index", "--walk", walk_file, "--mode", "mc",
+                       "--measure", "bernoulli:0.37", "--samples", "2000", "--seed", "11")
+    assert code == 0
+    assert out == GOLDEN_INDEX_MC
+
+
+@pytest.mark.parametrize("measure,pairing", [("uniform", "0.0625"),
+                                             ("bernoulli:0.37", "0.054335610000000006")])
+def test_falk_cylinder_golden(capsys, measure, pairing):
+    code, out, _ = run(capsys, "falk", "--cylinder", "0110", "--measure", measure)
+    assert code == 0
+    assert out == ('{\n  "cylinder": "0110",\n  "measure": "%s",\n  "pairing": %s,\n'
+                   '  "trunc": 200\n}\n' % (measure, pairing))
+
+
+def test_no_subcommand_imports_scipy(tmp_path, walk_file, line_file):
+    # a scipy import would add tens of MB of RSS and about 0.1 s to every call
+    script = f"""
+import sys
+from chiralwalk.cli import main
+calls = [
+    ["check", "--walk", {walk_file!r}, "--depth", "4"],
+    ["winding", "--a", "0.6"],
+    ["index", "--walk", {walk_file!r}],
+    ["index", "--walk", {walk_file!r}, "--mode", "mc", "--samples", "50"],
+    ["onedim", "--walk", {line_file!r}, "--halfwidth", "40"],
+    ["falk", "--cylinder", "01"],
+    ["sweep", "--p-grid", "0", "--a-grid", "0.5", "--samples", "64"],
+]
+for k, argv in enumerate(calls):
+    assert main(argv + ["--out", {str(tmp_path)!r} + f"/out{{k}}"]) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

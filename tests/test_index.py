@@ -5,7 +5,7 @@ from chiralwalk.cantor import Cylinder, Dyadic, ProductMeasure, refine_partition
 from chiralwalk.index import (classify_point, s_index_exact, s_index_montecarlo)
 from chiralwalk.symbol import SymbolSingularError
 from chiralwalk.walk import WalkSpec
-from helpers import random_walk_spec, sphere_coeff
+from helpers import random_walk_spec, reference_montecarlo, sphere_coeff
 
 
 def level2_walk():
@@ -117,6 +117,49 @@ def test_mc_deterministic_for_seed():
     assert a.to_json() == b.to_json()
     c = s_index_montecarlo(w, ProductMeasure.uniform(), 500, seed=10)
     assert c.to_json() != a.to_json()
+
+
+def comb_walk(level):
+    """Cells "1", "01", ..., "0" * (level - 1) + "1" and "0" * level."""
+    prefixes = ["0" * k + "1" for k in range(level)] + ["0" * level]
+    a_values = [0.9, 0.1, -0.8]
+    return WalkSpec.make(0.3, np.sqrt(0.91), [
+        (prefix, sphere_coeff(a_values[i % 3], 0.7 * i)) for i, prefix in enumerate(prefixes)])
+
+
+MEASURES = [ProductMeasure.uniform(), ProductMeasure.bernoulli(0.3),
+            ProductMeasure.per_level(0.2, 0.8, 0.45, 0.6)]
+
+
+@pytest.mark.parametrize("m", MEASURES, ids=lambda m: m.kind)
+def test_mc_matches_scalar_reference_on_random_walks(m):
+    rng = np.random.default_rng(808)
+    for trial in range(12):
+        w = random_walk_spec(rng, max_level=int(rng.integers(1, 7)), a_margin_from_p=0.05)
+        samples = int(rng.choice([1, 2, 37, 1000]))
+        seed = int(rng.integers(0, 2 ** 31))
+        assert (s_index_montecarlo(w, m, samples, seed=seed).to_json()
+                == reference_montecarlo(w, m, samples, seed=seed).to_json()), trial
+
+
+@pytest.mark.parametrize("m", [ProductMeasure.uniform(), ProductMeasure.bernoulli(0.9),
+                               ProductMeasure.per_level(*[0.95] * 30)], ids=lambda m: m.kind)
+def test_mc_matches_scalar_reference_on_level40_comb(m):
+    w = comb_walk(40)
+    for samples, seed in [(1, 3), (2500, 17)]:
+        assert (s_index_montecarlo(w, m, samples, seed=seed).to_json()
+                == reference_montecarlo(w, m, samples, seed=seed).to_json())
+
+
+def test_mc_block_boundaries_keep_the_stream(monkeypatch):
+    # tiny blocks: most points straddle a block boundary and are decoded again
+    # after the next draw
+    import chiralwalk.index as index_module
+    monkeypatch.setattr(index_module, "MC_BLOCK", 5)
+    for w in (level2_walk(), comb_walk(40)):
+        for m in MEASURES:
+            assert (s_index_montecarlo(w, m, 700, seed=5).to_json()
+                    == reference_montecarlo(w, m, 700, seed=5).to_json())
 
 
 def test_worker_count_never_changes_results():

@@ -21,6 +21,16 @@ def wall_bundle():
     return build_line(wall_spec(0.9, 0.3), 150)
 
 
+def coin_and_projections(b):
+    """Dense coin [[a, conj(b)], [b, -a]] over sites and its projections
+    (1 + C)/2 and 1 - (1 + C)/2, from the bundle's per-site coin data."""
+    coin = np.block([[np.diag(b.a.astype(complex)), np.diag(np.conj(b.b))],
+                     [np.diag(b.b), np.diag(-b.a.astype(complex))]])
+    eye2 = np.eye(2 * len(b.sites), dtype=np.complex128)
+    pplus = (eye2 + coin) / 2.0
+    return coin, pplus, eye2 - pplus
+
+
 def test_identities_on_interior(wall_bundle):
     b = wall_bundle
     n = len(b.sites)
@@ -28,15 +38,17 @@ def test_identities_on_interior(wall_bundle):
     idx = np.concatenate([inner, n + inner])
     gamma_sq = b.symmetry[idx, :] @ b.symmetry[:, idx] - np.eye(len(idx))
     assert np.max(np.abs(gamma_sq)) < 1e-12
-    coin_sq = b.coin[idx, :] @ b.coin[:, idx] - np.eye(len(idx))
+    coin, _, _ = coin_and_projections(b)
+    coin_sq = coin[idx, :] @ coin[:, idx] - np.eye(len(idx))
     assert np.max(np.abs(coin_sq)) < 1e-12
     assert np.max(np.abs(b.skew + b.skew.conj().T)) == 0.0
 
 
 def test_projections_complementary(wall_bundle):
     b = wall_bundle
-    assert np.array_equal(b.pplus + b.pminus, np.eye(2 * len(b.sites)))
-    assert np.max(np.abs(b.pplus @ b.pplus - b.pplus)) < 1e-12
+    _, pplus, pminus = coin_and_projections(b)
+    assert np.array_equal(pplus + pminus, np.eye(2 * len(b.sites)))
+    assert np.max(np.abs(pplus @ pplus - pplus)) < 1e-12
 
 
 def test_chirality_map_matches_projection_block(wall_bundle):
@@ -50,7 +62,8 @@ def test_chirality_map_matches_projection_block(wall_bundle):
     r = 1 / np.sqrt(2)
     bplus = np.vstack([np.diag(r * s_plus), np.diag(r * b.b / s_plus)])
     bminus = np.vstack([np.diag(-r * s_minus), np.diag(r * b.b / s_minus)])
-    compression = b.pminus @ b.skew @ b.pplus
+    _, pplus, pminus = coin_and_projections(b)
+    compression = pminus @ b.skew @ pplus
     assert np.max(np.abs(bminus @ m @ bplus.conj().T - compression)) < 1e-12
 
 

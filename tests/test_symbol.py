@@ -1,7 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
-from chiralwalk.cantor import Cylinder, ProductMeasure
+from chiralwalk.cantor import Cylinder, ProductMeasure, cylinder_measure
 from chiralwalk.linalg import svd_rank_profile
 from chiralwalk.symbol import (SymbolLoop, SymbolSingularError, eval_loop,
                                falk_cylinder_pairing, falk_pairing,
@@ -324,6 +326,37 @@ def test_falk_cylinder_aggregates():
     assert falk_cylinder_pairing(Cylinder(""), uniform, 64) == pytest.approx(1.0, abs=1e-12)
     third = ProductMeasure.bernoulli(1 / 3)
     assert falk_cylinder_pairing(Cylinder("0"), third, 64) == pytest.approx(1 / 3, abs=1e-12)
+
+
+def falk_cylinder_loop(cyl, measure, trunc):
+    """The level-partition sum: every cylinder of cyl's level pairs with
+    f = 1 inside cyl and f = 0 outside, weighted by its measure."""
+    total = 0.0
+    for i in range(1 << cyl.level):
+        cell = Cylinder(format(i, f"0{cyl.level}b") if cyl.level else "")
+        total += (float(cylinder_measure(measure, cell))
+                  * falk_pairing(1 if cyl.contains(cell) else 0, trunc))
+    return total
+
+
+def test_falk_cylinder_closed_form_matches_level_loop():
+    measures = [ProductMeasure.uniform(), ProductMeasure.bernoulli(0.3),
+                ProductMeasure.per_level(0.2, 0.9, 0.55)]
+    for level in range(6):
+        for i in range(1 << level):
+            cyl = Cylinder(format(i, f"0{level}b") if level else "")
+            for m in measures:
+                closed = falk_cylinder_pairing(cyl, m, 16)
+                assert repr(closed) == repr(falk_cylinder_loop(cyl, m, 16)), (cyl, m)
+                assert closed == float(cylinder_measure(m, cyl))
+
+
+def test_falk_cylinder_deep_prefix_is_fast():
+    cyl = Cylinder("0110" * 7 + "01")
+    start = time.perf_counter()
+    value = falk_cylinder_pairing(cyl, ProductMeasure.uniform(), 200)
+    assert time.perf_counter() - start < 1.0
+    assert value == 2.0 ** -30
 
 
 def test_loop_min_detects_degeneracy():
