@@ -2,7 +2,7 @@
 line: truncated operator bundles, circle-loop windings, and Cantor-measure
 index pairings."""
 
-from .cantor import Cylinder, Dyadic, ProductMeasure, cantor_function, cylinder_measure
+from .cantor import Cylinder, Dyadic, ProductMeasure, cylinder_measure
 from .index import IndexReport, classify_point, s_index_exact, s_index_montecarlo
 from .onedim import LineBundle, build_line, fredholm_index
 from .symbol import (HalfLineOperator, PoleData, SymbolLoop, SymbolSingularError,
@@ -14,7 +14,7 @@ from .walk import LineWalkSpec, SphereCoeff, ValidationError, WalkSpec
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cylinder", "Dyadic", "ProductMeasure", "cantor_function", "cylinder_measure",
+    "Cylinder", "Dyadic", "ProductMeasure", "cylinder_measure",
     "IndexReport", "classify_point", "s_index_exact", "s_index_montecarlo",
     "LineBundle", "build_line", "fredholm_index",
     "HalfLineOperator", "PoleData", "SymbolLoop", "SymbolSingularError",

@@ -5,9 +5,7 @@ The boundary is modelled as the product space {0,1}^N; a cylinder is the set
 of infinite bit sequences extending a finite prefix, and corresponds
 one-to-one with the subtree hanging below that prefix.  Measures of cylinders
 under the uniform product measure are exact dyadic rationals m / 2^n, so all
-uniform-measure pairings stay in exact integer arithmetic.  The classical
-middle-thirds picture is available through :func:`ternary_point` for
-reporting only.
+uniform-measure pairings stay in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -158,23 +156,6 @@ def cylinder_measure(m: ProductMeasure, c: Cylinder) -> Union[Dyadic, float]:
     for i, bit in enumerate(c.prefix, start=1):
         value *= m.weight(i, bit)
     return value
-
-
-def ternary_point(prefix: str) -> float:
-    """Middle-thirds coordinate of the boundary point prefix 0 0 0 ...
-
-    Bit b_i contributes 2 * b_i * 3**-i, mapping binary coordinates onto the
-    classical deleted-intervals picture of the Cantor set.
-    """
-    check_vertex(prefix)
-    return sum(2 * int(bit) * 3.0 ** -(i + 1) for i, bit in enumerate(prefix))
-
-
-def cantor_function(prefix: str) -> Dyadic:
-    """Value of the devil's-staircase distribution function at the point
-    ``prefix`` followed by zeros: sum of bit_i / 2**i, exactly."""
-    check_vertex(prefix)
-    return Dyadic.make(int(prefix, 2) if prefix else 0, len(prefix))
 
 
 def is_prefix_partition(prefixes: Iterable[str]) -> bool:

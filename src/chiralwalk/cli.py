@@ -2,8 +2,10 @@
 indices, Falk pairings, and parameter sweeps.
 
 Exit codes: 0 success, 2 symbol-singular (or inconclusive truncation),
-3 invalid input, 4 identity-residual breach.  Reports are JSON, grids are
-CSV; every command is deterministic for a fixed configuration and seed.
+3 invalid input (also input whose dense arrays would not fit in the available
+memory, refused before any work), 4 identity-residual breach.  Reports are
+JSON, grids are CSV; every command is deterministic for a fixed configuration
+and seed.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ EXIT_SINGULAR = 2
 EXIT_INVALID = 3
 EXIT_RESIDUAL = 4
 
+MEMINFO = "/proc/meminfo"
+BASE_BYTES = 64e6    # interpreter, numpy and BLAS before the first dense array
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -56,6 +61,28 @@ def _write_out(text: str, out: str | None) -> None:
 def _at_least(flag: str, value: int, low: int) -> None:
     if value < low:
         raise ValidationError(f"{flag} must be at least {low}, got {value}")
+
+
+def _mem_available() -> int | None:
+    """MemAvailable in bytes, or None where it cannot be read."""
+    try:
+        with open(MEMINFO) as f:
+            for line in f:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _preflight(flag: str, dim: int, squares: int) -> None:
+    """Refuse, before any work, a call whose peak of ``squares`` live dense
+    complex128 dim x dim arrays does not fit in the available memory."""
+    need = BASE_BYTES + 16.0 * squares * dim * dim
+    available = _mem_available()
+    if available is not None and need > available:
+        raise ValidationError(f"{flag} needs about {need / 1e9:.1f} GB of memory, "
+                              f"but {available / 1e9:.1f} GB is available")
 
 
 def _parse_measure(spec: str) -> ProductMeasure:
@@ -102,6 +129,8 @@ def cmd_check(args) -> int:
     # the identities are checked two layers in from the truncation depth
     if not 2 <= args.depth <= MAX_DEPTH:
         raise ValidationError(f"--depth must lie in [2, {MAX_DEPTH}], got {args.depth}")
+    # the bundle build holds 18 n x n arrays: L, E and four 2n x 2n ones
+    _preflight(f"--depth {args.depth}", 2 ** (args.depth + 1) - 1, 18)
     w = parse_walk(_read_text(args.walk))
     bundle = build_bundle(w, args.depth)
     residuals = check_identities(bundle)
@@ -179,6 +208,9 @@ def cmd_index(args) -> int:
 
 
 def cmd_onedim(args) -> int:
+    # build_line and the SVD each peak near 12 m x m arrays over m sites;
+    # 13 keeps a margin
+    _preflight(f"--halfwidth {args.halfwidth}", 2 * args.halfwidth + 1, 13)
     spec = parse_line_walk(_read_text(args.walk))
     try:
         bundle = build_line(spec, args.halfwidth)
@@ -191,6 +223,8 @@ def cmd_onedim(args) -> int:
 
 def cmd_falk(args) -> int:
     _at_least("--trunc", args.trunc, FALK_MIN_TRUNC)
+    # falk_pairing holds about 8 square arrays of its padded window
+    _preflight(f"--trunc {args.trunc}", args.trunc + 4, 8)
     if args.cylinder is not None:
         cylinder = _parse_cylinder(args.cylinder)
         measure = _parse_measure(args.measure)

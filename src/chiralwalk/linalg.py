@@ -1,12 +1,17 @@
-"""Dense complex-matrix kernel shared by the operator-level modules.
+"""Dense complex-matrix helpers and the block kernel for coin-type operators.
 
 Matrices are plain 2-D ``numpy.ndarray`` values of dtype ``complex128`` in
 row-major order.  Everything here is a pure function of its inputs and
 deterministic for a fixed input: products go through BLAS with a fixed
 summation schedule, and the SVD is LAPACK ``gesdd`` (converged to machine
-precision, ~1e-12 relative).  Storage is dense throughout; truncation sizes
-stay small enough (<= ~5000) that sparsity tricks are not worth the loss of
-auditability.
+precision, ~1e-12 relative).
+
+A coin-type operator on H (+) H has the form [[D11, D12], [D21, D22]] with
+every block a diagonal matrix, and it is represented only by its four
+diagonal blocks, a tuple of 1-D arrays.  Multiplying a dense matrix by such
+an operator only ever combines two scaled copies of each row or column, so
+the products below are entrywise identical to a dense matmul (each output
+entry is the same 2-term sum) at O(n^2) cost instead of O(n^3).
 """
 
 from __future__ import annotations
@@ -46,10 +51,6 @@ def trace(m: np.ndarray) -> complex:
     return complex(np.trace(m))
 
 
-def frobenius(m: np.ndarray) -> float:
-    return float(np.linalg.norm(as_matrix(m)))
-
-
 class RankProfile(NamedTuple):
     kernel_dim: int
     cokernel_dim: int
@@ -74,33 +75,10 @@ def svd_rank_profile(m: np.ndarray, tol: float) -> RankProfile:
     return RankProfile(cols - rank, rows - rank, s)
 
 
-# ---------------------------------------------------------------------------
-# 2x2 block matrices whose blocks are diagonal.
-#
-# Coin-type operators on H (+) H have the form [[D11, D12], [D21, D22]] with
-# every block a diagonal matrix.  Multiplying by such an operator only ever
-# combines two scaled copies of each row or column, so the products below are
-# entrywise identical to a dense matmul (each output entry is the same 2-term
-# sum) at O(n^2) cost instead of O(n^3).
-
-
 def block2(b11, b12, b21, b22) -> np.ndarray:
     """Assemble a dense 2x2 block matrix."""
     return np.block([[as_matrix(b11), as_matrix(b12)],
                      [as_matrix(b21), as_matrix(b22)]])
-
-
-def diag_block2(d11, d12, d21, d22) -> np.ndarray:
-    """Dense 2x2 block matrix with diagonal blocks given as 1-D arrays."""
-    d11, d12, d21, d22 = (np.asarray(v, dtype=np.complex128) for v in (d11, d12, d21, d22))
-    n = len(d11)
-    out = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    idx = np.arange(n)
-    out[idx, idx] = d11
-    out[idx, idx + n] = d12
-    out[idx + n, idx] = d21
-    out[idx + n, idx + n] = d22
-    return out
 
 
 def mul_diag_block_left(d, x: np.ndarray) -> np.ndarray:

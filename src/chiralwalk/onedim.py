@@ -8,7 +8,8 @@ chirality block (1-C)/2 Q (1+C)/2 is Fredholm whenever both tail values keep
 cokernel vectors of the infinite problem decay exponentially off the
 transition region, so after discarding singular vectors that pile up on the
 lattice edges (truncation artifacts), the SVD rank defect of the truncated
-block recovers the true index.
+block recovers the true index.  The one dense operator a line bundle keeps
+is the skew part U - U* of the walk unitary; the coin stays per-site data.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ class InconclusiveTruncationError(RuntimeError):
 class LineBundle:
     """Truncated lattice operators for one line walk.
 
-    ``skew = U - U*`` is what ``chirality_map`` compresses, with the shift,
-    symmetry and walk unitary ``U`` it is built from.  The coin is kept only
-    as its per-site data ``a`` and ``b``: ``chirality_map`` writes the coin
-    eigenspaces from them, so no dense coin or projection is stored.
+    ``skew = U - U*`` is the one dense operator kept: it is what
+    ``chirality_map`` compresses.  The shift, the symmetry and the walk
+    unitary ``U`` it is built from are dropped once it is formed.  The coin
+    is kept only as its per-site data ``a`` and ``b``, from which
+    ``chirality_map`` writes the coin eigenspaces.
     """
 
     spec: LineWalkSpec
@@ -47,9 +49,6 @@ class LineBundle:
     sites: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    shift: np.ndarray
-    symmetry: np.ndarray
-    evolution: np.ndarray
     skew: np.ndarray
 
 
@@ -73,11 +72,12 @@ def build_line(spec: LineWalkSpec, halfwidth: int) -> LineBundle:
 
     eye = np.eye(n_sites, dtype=np.complex128)
     symmetry = block2(eye, shift.conj().T, shift, -eye) / math.sqrt(2.0)
+    del shift, eye
     cblocks = (a.astype(np.complex128), np.conj(b), b, -a.astype(np.complex128))
     evolution = mul_diag_block_right(symmetry, cblocks)
+    del symmetry
     skew = evolution - evolution.conj().T
-    return LineBundle(spec=spec, halfwidth=halfwidth, sites=sites, a=a, b=b,
-                      shift=shift, symmetry=symmetry, evolution=evolution, skew=skew)
+    return LineBundle(spec=spec, halfwidth=halfwidth, sites=sites, a=a, b=b, skew=skew)
 
 
 def chirality_map(bundle: LineBundle) -> np.ndarray:

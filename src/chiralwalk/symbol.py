@@ -73,11 +73,6 @@ class SymbolLoop:
                 - 2.0 * self.p * self.b_abs)
 
 
-def eval_loop(s: SymbolLoop, angle: float) -> complex:
-    """Value of the loop at w = exp(i * angle)."""
-    return s(cmath.exp(1j * angle))
-
-
 @dataclass(frozen=True)
 class PoleData:
     """Poles of g^-1 dg in the w plane and the claimed residues (-1, 1, 1)."""
@@ -115,26 +110,6 @@ def solve_w0(s: SymbolLoop) -> complex:
     if s.a == 0.0:
         raise ValueError("no unique root: the real-linear system is singular at a = 0")
     return s.q.conjugate() * s.p * s.b_abs / (s.a * abs(s.q) ** 2)
-
-
-class InvertibilityResult(NamedTuple):
-    invertible: bool
-    witness: complex | None      # circle point minimizing |g| when not invertible
-    min_abs: float
-
-
-def is_invertible(s: SymbolLoop, samples: int = 8192) -> InvertibilityResult:
-    """Invertibility of the loop: holds exactly when |p| != |a|.
-
-    When it fails, the returned witness is the sampled circle point where |g|
-    attains its minimum (up to sampling resolution, the root w0).
-    """
-    angles = 2.0 * np.pi * np.arange(samples) / samples
-    values = np.abs(s.on_circle(angles))
-    k = int(np.argmin(values))
-    min_abs = float(values[k])
-    ok = abs(s.a) != abs(s.p)
-    return InvertibilityResult(ok, None if ok else complex(np.exp(1j * angles[k])), min_abs)
 
 
 def winding_quadrature(s: SymbolLoop, n_samples: int = 4096) -> float:

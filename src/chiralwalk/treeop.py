@@ -10,9 +10,9 @@ compression artifacts vanish; the margin is two layers because the chirality
 block composes two depth-shifting factors.
 
 Coin-type operators (C and the conjugator) are 2x2 block matrices with
-diagonal blocks, so products with them are computed by exact row and column
-scaling (see chiralwalk.linalg); this keeps the depth-10 identity suite in
-budget without changing a single matrix entry.
+diagonal blocks and exist only as their four diagonal blocks: products among
+them are blockwise, and products with dense operators are exact row and
+column scaling (see chiralwalk.linalg), so no dense coin is ever formed.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (diag_block2, matmul, mul_diag_block_left,
+from .linalg import (diag_block_product, matmul, mul_diag_block_left,
                      mul_diag_block_right)
 from .tree import TruncatedTree, truncated_tree
 from .walk import WalkSpec, eval_vertex
@@ -45,17 +45,15 @@ def shift_matrix(t: TruncatedTree) -> np.ndarray:
 
 class TreeOperators(NamedTuple):
     tree: TruncatedTree
-    shift: np.ndarray
     isometry: np.ndarray
     defect: np.ndarray
 
 
 def tree_operators(t: TruncatedTree) -> TreeOperators:
-    """Shift S, isometry L = S / sqrt(2), and defect projection E = 1 - L L*."""
-    s = shift_matrix(t)
-    isometry = s / math.sqrt(2.0)
+    """Isometry L = S / sqrt(2) of the shift S, and defect projection E = 1 - L L*."""
+    isometry = shift_matrix(t) / math.sqrt(2.0)
     defect = np.eye(t.size, dtype=np.complex128) - matmul(isometry, isometry.conj().T)
-    return TreeOperators(t, s, isometry, defect)
+    return TreeOperators(t, isometry, defect)
 
 
 def coin_values(w: WalkSpec, t: TruncatedTree, rule: str = "leftmost"):
@@ -74,10 +72,6 @@ def coin_blocks(a: np.ndarray, b: np.ndarray):
     return (a.astype(np.complex128), np.conj(b), b, -a.astype(np.complex128))
 
 
-def coin_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return diag_block2(*coin_blocks(a, b))
-
-
 def conjugator_blocks(a: np.ndarray, b: np.ndarray):
     """Diagonal blocks of the unitary that diagonalizes the coin pointwise:
     (1/sqrt 2) [[s+, -s-], [b/s+, b/s-]] with s+- = sqrt(1 +- a)."""
@@ -88,10 +82,6 @@ def conjugator_blocks(a: np.ndarray, b: np.ndarray):
     s_minus = np.sqrt(1.0 - a)
     return (r * s_plus.astype(np.complex128), -r * s_minus.astype(np.complex128),
             r * b / s_plus, r * b / s_minus)
-
-
-def conjugator_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return diag_block2(*conjugator_blocks(a, b))
 
 
 def _dagger_blocks(d):
@@ -167,35 +157,31 @@ def interior_mask(t: TruncatedTree, margin: int = 2) -> np.ndarray:
 
 @dataclass
 class OperatorBundle:
-    """Everything the identity suite and the index experiments consume."""
+    """The operators ``check_identities`` and ``route_disagreement`` read.
 
-    depth: int
+    The coin is kept only as its per-vertex data ``a`` and ``b``; its blocks
+    and the conjugator's are formed from them where needed.  ``symmetry`` and
+    ``skew = U - U*`` are dense 2n x 2n, ``isometry`` and ``defect`` n x n.
+    """
+
     tree: TruncatedTree
     walk: WalkSpec
-    rule: str
-    shift: np.ndarray
     isometry: np.ndarray
     defect: np.ndarray
     a: np.ndarray
     b: np.ndarray
     symmetry: np.ndarray
-    coin: np.ndarray
-    coin_diag: np.ndarray
-    evolution: np.ndarray
     skew: np.ndarray
-    chirality: np.ndarray
     interior: np.ndarray
 
 
 def build_bundle(w: WalkSpec, depth: int, rule: str = "leftmost",
-                 ops: TreeOperators | None = None,
-                 route: str = "direct") -> OperatorBundle:
-    """Construct the full operator bundle at a truncation depth.
+                 ops: TreeOperators | None = None) -> OperatorBundle:
+    """Construct the operator bundle at a truncation depth.
 
     Pass a precomputed ``ops`` to share the walk-independent tree operators
-    across several walks at the same depth.  ``route`` selects how the stored
-    chirality block is produced ("direct" or "conjugation"); both agree to
-    machine precision.
+    across several walks at the same depth.  The walk unitary
+    U = (symmetry)(coin) is formed only to take its skew part.
     """
     if ops is None:
         ops = tree_operators(truncated_tree(depth))
@@ -206,24 +192,9 @@ def build_bundle(w: WalkSpec, depth: int, rule: str = "leftmost",
     symmetry = shift_symmetry(ops.isometry, ops.defect, w.p, w.q)
     evolution = evolution_matrix(symmetry, a, b)
     skew = evolution - evolution.conj().T
-    if route == "direct":
-        chirality = chirality_direct(w.p, w.q, a, b, ops.isometry, ops.defect)
-    elif route == "conjugation":
-        chirality = chirality_conjugated(skew, a, b)
-    else:
-        raise ValueError(f"unknown route {route!r}")
-    return OperatorBundle(
-        depth=depth, tree=t, walk=w, rule=rule,
-        shift=ops.shift, isometry=ops.isometry, defect=ops.defect,
-        a=a, b=b,
-        symmetry=symmetry,
-        coin=coin_matrix(a, b),
-        coin_diag=conjugator_matrix(a, b),
-        evolution=evolution,
-        skew=skew,
-        chirality=chirality,
-        interior=interior_mask(t),
-    )
+    return OperatorBundle(tree=t, walk=w, isometry=ops.isometry, defect=ops.defect,
+                          a=a, b=b, symmetry=symmetry, skew=skew,
+                          interior=interior_mask(t))
 
 
 IDENTITY_NAMES = (
@@ -237,6 +208,14 @@ IDENTITY_NAMES = (
 )
 
 
+def _block_residual(blocks, diagonal: tuple[float, float]) -> float:
+    """Max over the four diagonal blocks of |block - target|, where the target
+    is ``diagonal`` on the two diagonal blocks and 0 off them."""
+    d11, d12, d21, d22 = blocks
+    return float(max(np.max(np.abs(d11 - diagonal[0])), np.max(np.abs(d12)),
+                     np.max(np.abs(d21)), np.max(np.abs(d22 - diagonal[1]))))
+
+
 def check_identities(bundle: OperatorBundle) -> dict[str, float]:
     """Max-norm residuals of the defining operator identities on the interior.
 
@@ -245,11 +224,10 @@ def check_identities(bundle: OperatorBundle) -> dict[str, float]:
     defect annihilates the isometry; the coin anticommutes with the skew part;
     and the conjugated skew part has vanishing diagonal blocks.
 
-    Products against coin-type operators restrict exactly to the interior
-    (their diagonal blocks never couple interior to exterior vertices), so
-    those factors are sliced before multiplying; only genuinely depth-mixing
-    products (the symmetry square, defect times isometry) contract over the
-    full truncation.
+    Coin-type operators never couple interior to exterior vertices, so their
+    blocks are sliced to the interior first; identities among them are
+    blockwise products.  Only genuinely depth-mixing products (the symmetry
+    square, defect times isometry) contract over the full truncation.
     """
     n = bundle.tree.size
     inner = np.flatnonzero(bundle.interior)
@@ -258,7 +236,7 @@ def check_identities(bundle: OperatorBundle) -> dict[str, float]:
     a, b = bundle.a, bundle.b
     cblocks = tuple(v[inner] for v in coin_blocks(a, b))
     eblocks = tuple(v[inner] for v in conjugator_blocks(a, b))
-    ix2 = np.ix_(inner2, inner2)
+    edagger = _dagger_blocks(eblocks)
 
     residuals: dict[str, float] = {}
 
@@ -266,29 +244,21 @@ def check_identities(bundle: OperatorBundle) -> dict[str, float]:
     sq = gamma[inner2, :] @ gamma[:, inner2]
     residuals["symmetry_squared"] = float(np.max(np.abs(sq - np.eye(2 * m))))
 
-    coin_inner = bundle.coin[ix2]
-    coin_sq = mul_diag_block_left(cblocks, coin_inner)
-    residuals["coin_squared"] = float(np.max(np.abs(coin_sq - np.eye(2 * m))))
-
-    diag_inner = bundle.coin_diag[ix2]
-    gram = mul_diag_block_left(_dagger_blocks(eblocks), diag_inner)
-    residuals["conjugator_unitary"] = float(np.max(np.abs(gram - np.eye(2 * m))))
-
-    diagonalized = mul_diag_block_left(
-        _dagger_blocks(eblocks), mul_diag_block_left(cblocks, diag_inner))
-    target = np.diag(np.concatenate([np.ones(m), -np.ones(m)]))
-    residuals["coin_diagonalized"] = float(np.max(np.abs(diagonalized - target)))
+    residuals["coin_squared"] = _block_residual(diag_block_product(cblocks, cblocks), (1, 1))
+    residuals["conjugator_unitary"] = _block_residual(
+        diag_block_product(edagger, eblocks), (1, 1))
+    residuals["coin_diagonalized"] = _block_residual(
+        diag_block_product(edagger, diag_block_product(cblocks, eblocks)), (1, -1))
 
     el = bundle.defect[inner, :] @ bundle.isometry[:, inner]
     residuals["defect_kills_shift"] = float(np.max(np.abs(el)))
 
-    skew_inner = bundle.skew[ix2]
+    skew_inner = bundle.skew[np.ix_(inner2, inner2)]
     anti = (mul_diag_block_left(cblocks, skew_inner)
             + mul_diag_block_right(skew_inner, cblocks))
     residuals["coin_anticommutes_skew"] = float(np.max(np.abs(anti)))
 
-    conj = mul_diag_block_left(_dagger_blocks(eblocks),
-                               mul_diag_block_right(skew_inner, eblocks))
+    conj = mul_diag_block_left(edagger, mul_diag_block_right(skew_inner, eblocks))
     top = np.max(np.abs(conj[:m, :m]))
     bottom = np.max(np.abs(conj[m:, m:]))
     residuals["conjugated_skew_diag_blocks"] = float(max(top, bottom))

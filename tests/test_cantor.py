@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chiralwalk.cantor import (Cylinder, Dyadic, ProductMeasure, cantor_function,
+from chiralwalk.cantor import (Cylinder, Dyadic, ProductMeasure,
                                check_prefix_partition, cylinder_measure,
-                               is_prefix_partition, refine_partition, ternary_point)
+                               is_prefix_partition, refine_partition)
 
 dyadics = st.builds(Dyadic.make,
                     st.integers(min_value=-10**6, max_value=10**6),
@@ -109,36 +109,6 @@ def test_per_level_measure():
     assert float(cylinder_measure(m, Cylinder("00"))) == pytest.approx(0.25 * 0.75)
     # uniform past the listed levels
     assert float(cylinder_measure(m, Cylinder("001"))) == pytest.approx(0.25 * 0.75 * 0.5)
-
-
-def test_ternary_points():
-    assert ternary_point("1") == pytest.approx(2 / 3)
-    assert ternary_point("01") == pytest.approx(2 / 9)
-    assert ternary_point("") == 0.0
-
-
-def test_cantor_function_values():
-    assert cantor_function("1") == Dyadic(1, 1)
-    assert cantor_function("01") == Dyadic(1, 2)
-    assert cantor_function("11") == Dyadic(3, 2)
-    assert cantor_function("") == Dyadic(0, 0)
-
-
-def test_cantor_function_monotone():
-    level = 6
-    values = [cantor_function(format(i, f"0{level}b")) for i in range(1 << level)]
-    assert all(x < y for x, y in zip(values, values[1:]))
-
-
-def test_cantor_function_matches_measure_below():
-    # value at x = point(prefix) is the measure of everything to its left
-    uniform = ProductMeasure.uniform()
-    for prefix in ["0", "1", "01", "110", "0011"]:
-        total = Dyadic(0, 0)
-        level = len(prefix)
-        for i in range(int(prefix, 2)):
-            total = total + cylinder_measure(uniform, Cylinder(format(i, f"0{level}b")))
-        assert cantor_function(prefix) == total
 
 
 # --- partitions ---------------------------------------------------------------

@@ -4,14 +4,19 @@ import json
 import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from chiralwalk import cli
 from chiralwalk.cli import main
 from chiralwalk.walk import (LineWalkSpec, WalkSpec, line_walk_to_json,
                              walk_to_json)
 from helpers import sphere_coeff
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture()
@@ -197,6 +202,16 @@ def test_output_file(capsys, walk_file, tmp_path):
     assert json.loads(out_path.read_text())["numeric"] == 0.25
 
 
+@pytest.fixture()
+def meminfo(tmp_path, monkeypatch):
+    """Point the memory preflight at a meminfo file with a given MemAvailable."""
+    def make(available_kb):
+        path = tmp_path / "meminfo"
+        path.write_text(f"MemTotal:        8000000 kB\nMemAvailable: {available_kb:10d} kB\n")
+        monkeypatch.setattr(cli, "MEMINFO", str(path))
+    return make
+
+
 @pytest.mark.parametrize("argv", [
     ["index", "--mode", "mc", "--samples", "0"],
     ["index", "--measure", "bernoulli:1.5"],
@@ -207,14 +222,35 @@ def test_output_file(capsys, walk_file, tmp_path):
     ["sweep", "--p-grid", "0,x"],
     ["check", "--depth", "0"],
     ["check", "--depth", "21"],
+    # dense arrays from 77 GB upwards, against 6 GB available
+    ["check", "--depth", "13"],
+    ["onedim", "--halfwidth", "100000"],
+    ["falk", "--f-value", "1", "--trunc", "100000"],
 ], ids=" ".join)
-def test_invalid_arguments_exit_3_before_work(capsys, walk_file, argv):
+def test_invalid_arguments_exit_3_before_work(capsys, meminfo, walk_file, line_file, argv):
+    meminfo(6_000_000)
     if argv[0] in ("index", "check"):
         argv = argv + ["--walk", walk_file]
+    if argv[0] == "onedim":
+        argv = argv + ["--walk", line_file]
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
     assert code == 3
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_preflight_reads_mem_available(capsys, meminfo, tmp_path, monkeypatch, walk_file):
+    meminfo(60_000)          # 61 MB: less than a depth-6 check needs
+    code, out, err = run(capsys, "check", "--walk", walk_file, "--depth", "6")
+    assert code == 3 and out == ""
+    assert err.startswith("error: --depth 6 needs about")
+    meminfo(6_000_000)
+    assert run(capsys, "check", "--walk", walk_file, "--depth", "6")[0] == 0
+    # without a readable meminfo the preflight is skipped
+    monkeypatch.setattr(cli, "MEMINFO", str(tmp_path / "absent"))
+    assert run(capsys, "check", "--walk", walk_file, "--depth", "6")[0] == 0
 
 
 # reports pinned byte for byte: the block-decoded Monte Carlo stream and the
@@ -262,6 +298,48 @@ def test_index_mc_golden(capsys, walk_file):
                        "--measure", "bernoulli:0.37", "--samples", "2000", "--seed", "11")
     assert code == 0
     assert out == GOLDEN_INDEX_MC
+
+
+# the identity table and the lattice report of the shipped configs, pinned
+# byte for byte (csv rows end in CRLF); the coin is applied through its
+# diagonal blocks, and no change of representation may move a digit
+GOLDEN_CHECK = (
+    "identity,residual,threshold,status\r\n"
+    "symmetry_squared,2.220446049250313e-16,1e-10,pass\r\n"
+    "coin_squared,0.0,1e-10,pass\r\n"
+    "conjugator_unitary,4.440892098500626e-16,1e-10,pass\r\n"
+    "coin_diagonalized,4.440892098500626e-16,1e-10,pass\r\n"
+    "defect_kills_shift,1.3401577416544657e-16,1e-10,pass\r\n"
+    "coin_anticommutes_skew,2.220446049250313e-16,1e-10,pass\r\n"
+    "conjugated_skew_diag_blocks,1.1102230246251565e-16,1e-10,pass\r\n"
+)
+
+GOLDEN_ONEDIM = """{
+  "cokernel_discarded": 1,
+  "cokernel_kept": 0,
+  "gap": 0.650384277573321,
+  "index": 1,
+  "kernel_discarded": 0,
+  "kernel_kept": 1,
+  "null_singular_values": [
+    1.6711502651095468e-10
+  ]
+}
+"""
+
+
+def test_check_golden(capsys):
+    code, out, _ = run(capsys, "check", "--walk", str(CONFIGS / "level2_walk.json"),
+                       "--depth", "6")
+    assert code == 0
+    assert out == GOLDEN_CHECK
+
+
+def test_onedim_golden(capsys):
+    code, out, _ = run(capsys, "onedim", "--walk", str(CONFIGS / "line_wall.json"),
+                       "--halfwidth", "40")
+    assert code == 0
+    assert out == GOLDEN_ONEDIM
 
 
 @pytest.mark.parametrize("measure,pairing", [("uniform", "0.0625"),

@@ -36,12 +36,18 @@ def test_identities_on_interior(wall_bundle):
     n = len(b.sites)
     inner = np.flatnonzero(np.abs(b.sites) <= b.halfwidth - 2)
     idx = np.concatenate([inner, n + inner])
-    gamma_sq = b.symmetry[idx, :] @ b.symmetry[:, idx] - np.eye(len(idx))
+    # the lattice symmetry (1/sqrt 2) [[1, L*], [L, -1]], L e_j = e_{j+1}
+    shift, eye = np.eye(n, k=-1), np.eye(n)
+    symmetry = np.block([[eye, shift.T], [shift, -eye]]) / np.sqrt(2.0)
+    gamma_sq = symmetry[idx, :] @ symmetry[:, idx] - np.eye(len(idx))
     assert np.max(np.abs(gamma_sq)) < 1e-12
     coin, _, _ = coin_and_projections(b)
     coin_sq = coin[idx, :] @ coin[:, idx] - np.eye(len(idx))
     assert np.max(np.abs(coin_sq)) < 1e-12
     assert np.max(np.abs(b.skew + b.skew.conj().T)) == 0.0
+    # the bundle's skew part is U - U* for U = (symmetry)(coin)
+    evolution = symmetry @ coin
+    assert np.max(np.abs(b.skew - (evolution - evolution.conj().T))) < 1e-12
 
 
 def test_projections_complementary(wall_bundle):

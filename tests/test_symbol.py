@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from chiralwalk.cantor import Cylinder, ProductMeasure, cylinder_measure
-from chiralwalk.linalg import svd_rank_profile
-from chiralwalk.symbol import (SymbolLoop, SymbolSingularError, eval_loop,
+from chiralwalk.symbol import (SymbolLoop, SymbolSingularError,
                                falk_cylinder_pairing, falk_pairing,
-                               half_line_operator, is_invertible,
-                               kernel_recursion, loop_min, poles,
+                               half_line_operator, kernel_recursion, loop_min, poles,
                                residue_numeric, solve_w0, unilateral_shift,
                                winding_quadrature, winding_residues)
 
@@ -32,9 +30,15 @@ def grid_points():
 
 # --- loop evaluation ----------------------------------------------------------
 
+def eval_loop(s, angle):
+    """Value of the loop at w = exp(i * angle)."""
+    return complex(s.on_circle(np.array([angle]))[0])
+
+
 def test_eval_loop_anchor():
     s = SymbolLoop(0.6, 0.8, 0.0, 1.0)
     assert eval_loop(s, 0.0) == pytest.approx(1.2)
+    assert s(1.0 + 0j) == pytest.approx(1.2)
 
 
 def test_loop_vanishes_at_a_zero():
@@ -97,15 +101,6 @@ def test_solve_w0_errors():
         solve_w0(loop(0.0, 0.5))
     with pytest.raises(ValueError, match="q = 0"):
         solve_w0(SymbolLoop(0.5, np.sqrt(0.75), 1.0, 0.0))
-
-
-def test_is_invertible():
-    assert is_invertible(loop(0.8, 0.5)).invertible
-    bad = is_invertible(loop(0.5, 0.5))
-    assert not bad.invertible
-    assert bad.min_abs < 1e-10
-    assert abs(bad.witness) == pytest.approx(1.0)
-    assert not is_invertible(loop(0.0, 0.0)).invertible
 
 
 # --- windings -------------------------------------------------------------------
@@ -273,8 +268,8 @@ def test_truncated_rank_defect_is_one_sided():
     n = 400
     s = SymbolLoop(0.5, np.sqrt(0.75), 0.0, 1.0)
     t = half_line_operator(s, n).matrix
-    profile = svd_rank_profile(t.conj().T, 1e-8)
-    assert profile.kernel_dim == 1
+    singular_values = np.linalg.svd(t.conj().T, compute_uv=False)
+    assert np.count_nonzero(singular_values <= 1e-8) == 1
     # the genuine null vector sits at the head; the paired artifact on the
     # other side of the square truncation sits at the tail
     u, sv, vh = np.linalg.svd(t)
@@ -363,3 +358,9 @@ def test_loop_min_detects_degeneracy():
     value, witness = loop_min(loop(0.5, 0.5), 8192)
     assert value < 1e-3
     assert abs(abs(witness) - 1.0) < 1e-12
+    # on the singular locus |a| = |p| the minimizing sample is a circle zero
+    for a, p in [(0.5, 0.5), (0.0, 0.0)]:
+        value, witness = loop_min(loop(a, p), 8192)
+        assert value < 1e-10, (a, p)
+        assert abs(witness) == pytest.approx(1.0)
+    assert loop_min(loop(0.8, 0.5), 8192)[0] > 0.1

@@ -4,8 +4,7 @@ import pytest
 from chiralwalk.tree import truncated_tree
 from chiralwalk.treeop import (IDENTITY_NAMES, build_bundle, check_identities,
                                chirality_conjugated, chirality_direct,
-                               coin_matrix, coin_values,
-                               conjugator_blocks, conjugator_matrix,
+                               coin_blocks, coin_values, conjugator_blocks,
                                interior_mask, route_disagreement,
                                shift_matrix, shift_symmetry, tree_operators)
 from chiralwalk.walk import WalkSpec
@@ -15,6 +14,18 @@ from helpers import random_walk_spec, sphere_coeff
 @pytest.fixture(scope="module")
 def ops6():
     return tree_operators(truncated_tree(6))
+
+
+def dense(d):
+    """The dense 2x2 block matrix whose blocks are diag(d11), ..., diag(d22)."""
+    d11, d12, d21, d22 = d
+    return np.block([[np.diag(d11), np.diag(d12)], [np.diag(d21), np.diag(d22)]])
+
+
+def chirality(bundle):
+    """The bundle's chirality block, by the direct route."""
+    return chirality_direct(bundle.walk.p, bundle.walk.q, bundle.a, bundle.b,
+                            bundle.isometry, bundle.defect)
 
 
 def basis_vector(t, v):
@@ -63,7 +74,7 @@ def test_isometry_and_defect_structure(ops6):
 
 
 def test_tree_operators_real_entries(ops6):
-    for m in (ops6.shift, ops6.isometry, ops6.defect):
+    for m in (shift_matrix(ops6.tree), ops6.isometry, ops6.defect):
         assert np.max(np.abs(m.imag)) == 0.0
 
 
@@ -119,12 +130,12 @@ def test_constant_swap_coin(ops6):
     t = ops6.tree
     w = WalkSpec.make(0.0, 1.0, [("", sphere_coeff(0.0))])  # (a, b) = (0, 1)
     a, b = coin_values(w, t)
-    c = coin_matrix(a, b)
+    c = dense(coin_blocks(a, b))
     n = t.size
     eye = np.eye(n)
     assert np.allclose(c[:n, n:], eye) and np.allclose(c[n:, :n], eye)
     assert np.allclose(c[:n, :n], 0) and np.allclose(c[n:, n:], 0)
-    eps = conjugator_matrix(a, b)
+    eps = dense(conjugator_blocks(a, b))
     r = 1 / np.sqrt(2)
     assert np.allclose(eps[:n, :n], r * eye) and np.allclose(eps[:n, n:], -r * eye)
     assert np.allclose(eps[n:, :n], r * eye) and np.allclose(eps[n:, n:], r * eye)
@@ -135,7 +146,7 @@ def test_coin_eigenvalues_are_signs():
     rng = np.random.default_rng(3)
     w = random_walk_spec(rng, max_level=2)
     a, b = coin_values(w, t)
-    c = coin_matrix(a, b)
+    c = dense(coin_blocks(a, b))
     eigenvalues = np.linalg.eigvalsh(c)
     assert np.max(np.abs(np.abs(eigenvalues) - 1.0)) < 1e-10
 
@@ -161,7 +172,7 @@ def test_chirality_conjugation_route_matches_everywhere(ops6):
     w = random_walk_spec(rng)
     bundle = build_bundle(w, 6, ops=ops6)
     conj = chirality_conjugated(bundle.skew, bundle.a, bundle.b)
-    assert np.max(np.abs(bundle.chirality - conj)) < 1e-12
+    assert np.max(np.abs(chirality(bundle) - conj)) < 1e-12
 
 
 def test_constant_swap_walk_chirality_formula(ops6):
@@ -169,7 +180,7 @@ def test_constant_swap_walk_chirality_formula(ops6):
     w = WalkSpec.make(0.0, 1.0, [("", sphere_coeff(0.0))])
     bundle = build_bundle(w, 6, ops=ops6)
     expected = ops6.isometry - ops6.isometry.conj().T + ops6.defect
-    assert np.max(np.abs(bundle.chirality - expected)) < 1e-14
+    assert np.max(np.abs(chirality(bundle) - expected)) < 1e-14
 
 
 def test_p_zero_drops_scalar_term(ops6):
@@ -179,7 +190,7 @@ def test_p_zero_drops_scalar_term(ops6):
     w = random_walk_spec(rng, p_value=0.0)
     bundle = build_bundle(w, 6, ops=ops6)
     direct = chirality_direct(0.0, w.q, bundle.a, bundle.b, ops6.isometry, ops6.defect)
-    assert np.max(np.abs(bundle.chirality - direct)) == 0.0
+    assert np.max(np.abs(chirality(bundle) - direct)) == 0.0
     assert np.max(np.abs(np.diag(direct) - np.diag(direct - np.diag(
         2 * 0.0 * np.abs(bundle.b))))) == 0.0
 
@@ -211,7 +222,7 @@ def test_truncation_monotonicity():
     small = build_bundle(w, 5)
     large = build_bundle(w, 6)
     inner = np.flatnonzero(small.interior)
-    diff = small.chirality[np.ix_(inner, inner)] - large.chirality[np.ix_(inner, inner)]
+    diff = chirality(small)[np.ix_(inner, inner)] - chirality(large)[np.ix_(inner, inner)]
     assert np.max(np.abs(diff)) < 1e-12
     res_small = check_identities(small)
     for name, value in res_small.items():
@@ -239,11 +250,11 @@ def test_chirality_locality():
     t = b1.tree
     far = [i for i, v in enumerate(t.addresses) if v.startswith("00")]
     block = np.ix_(far, far)
-    assert np.array_equal(b1.chirality[block], b2.chirality[block])
+    c1, c2 = chirality(b1), chirality(b2)
+    assert np.array_equal(c1[block], c2[block])
     # and something does change under "11"
     near = [i for i, v in enumerate(t.addresses) if v.startswith("11")]
-    assert np.max(np.abs(b1.chirality[np.ix_(near, near)]
-                         - b2.chirality[np.ix_(near, near)])) > 1e-3
+    assert np.max(np.abs(c1[np.ix_(near, near)] - c2[np.ix_(near, near)])) > 1e-3
 
 
 def test_interior_rule_does_not_affect_identities(ops6):
@@ -263,9 +274,9 @@ def test_bundle_dimensions(ops6):
     bundle = build_bundle(w, 6, ops=ops6)
     n = 2 ** 7 - 1
     assert bundle.tree.size == n
-    assert bundle.shift.shape == (n, n)
+    assert bundle.isometry.shape == (n, n)
     assert bundle.symmetry.shape == (2 * n, 2 * n)
-    assert bundle.chirality.shape == (n, n)
+    assert chirality(bundle).shape == (n, n)
     assert bundle.interior.sum() == 2 ** 5 - 1
 
 
@@ -274,5 +285,3 @@ def test_build_bundle_rejects_mismatched_ops(ops6):
     w = random_walk_spec(rng)
     with pytest.raises(ValueError, match="depth"):
         build_bundle(w, 7, ops=ops6)
-    with pytest.raises(ValueError, match="route"):
-        build_bundle(w, 6, ops=ops6, route="sideways")
