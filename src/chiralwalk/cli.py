@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import resource
 import sys
 from pathlib import Path
 
@@ -35,6 +36,7 @@ EXIT_INVALID = 3
 EXIT_RESIDUAL = 4
 
 MEMINFO = "/proc/meminfo"
+STATUS = "/proc/self/status"
 BASE_BYTES = 64e6    # interpreter, numpy and BLAS before the first dense array
 
 
@@ -63,12 +65,13 @@ def _at_least(flag: str, value: int, low: int) -> None:
         raise ValidationError(f"{flag} must be at least {low}, got {value}")
 
 
-def _mem_available() -> int | None:
-    """MemAvailable in bytes, or None where it cannot be read."""
+def _proc_bytes(path: str, key: str) -> int | None:
+    """The ``key:`` field of a /proc file, given in kB, in bytes, or None
+    where it cannot be read."""
     try:
-        with open(MEMINFO) as f:
+        with open(path) as f:
             for line in f:
-                if line.startswith("MemAvailable:"):
+                if line.startswith(key + ":"):
                     return int(line.split()[1]) * 1024
     except (OSError, ValueError, IndexError):
         pass
@@ -77,12 +80,18 @@ def _mem_available() -> int | None:
 
 def _preflight(flag: str, dim: int, squares: int) -> None:
     """Refuse, before any work, a call whose peak of ``squares`` live dense
-    complex128 dim x dim arrays does not fit in the available memory."""
+    complex128 dim x dim arrays does not fit in the available memory or in
+    what the soft address-space limit leaves above the process's size."""
     need = BASE_BYTES + 16.0 * squares * dim * dim
-    available = _mem_available()
+    available = _proc_bytes(MEMINFO, "MemAvailable")
     if available is not None and need > available:
         raise ValidationError(f"{flag} needs about {need / 1e9:.1f} GB of memory, "
                               f"but {available / 1e9:.1f} GB is available")
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    size = None if limit == resource.RLIM_INFINITY else _proc_bytes(STATUS, "VmSize")
+    if size is not None and need > limit - size:
+        raise ValidationError(f"{flag} needs about {need / 1e9:.1f} GB of memory, but "
+                              f"the address-space limit leaves {(limit - size) / 1e9:.1f} GB")
 
 
 def _parse_measure(spec: str) -> ProductMeasure:
@@ -129,8 +138,9 @@ def cmd_check(args) -> int:
     # the identities are checked two layers in from the truncation depth
     if not 2 <= args.depth <= MAX_DEPTH:
         raise ValidationError(f"--depth must lie in [2, {MAX_DEPTH}], got {args.depth}")
-    # the bundle build holds 18 n x n arrays: L, E and four 2n x 2n ones
-    _preflight(f"--depth {args.depth}", 2 ** (args.depth + 1) - 1, 18)
+    # a depth-10 check peaks near 11.8 n x n arrays (the bundle's L, E and
+    # two 2n x 2n ones, plus transients); 13 keeps a margin
+    _preflight(f"--depth {args.depth}", 2 ** (args.depth + 1) - 1, 13)
     w = parse_walk(_read_text(args.walk))
     bundle = build_bundle(w, args.depth)
     residuals = check_identities(bundle)

@@ -38,19 +38,6 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose, returned as a fresh array."""
-    return as_matrix(m).conj().T.copy()
-
-
-def trace(m: np.ndarray) -> complex:
-    """Sum of diagonal entries of a square matrix."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"trace needs a square matrix, got {m.shape}")
-    return complex(np.trace(m))
-
-
 class RankProfile(NamedTuple):
     kernel_dim: int
     cokernel_dim: int

@@ -12,7 +12,10 @@ block composes two depth-shifting factors.
 Coin-type operators (C and the conjugator) are 2x2 block matrices with
 diagonal blocks and exist only as their four diagonal blocks: products among
 them are blockwise, and products with dense operators are exact row and
-column scaling (see chiralwalk.linalg), so no dense coin is ever formed.
+column scaling (see chiralwalk.linalg), so no dense coin is ever formed.  The
+defect projection is written down in closed form, and the walk unitary
+U = (symmetry)(coin) is never formed either: its skew part is assembled tile
+by tile from the symmetry and the coin blocks.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from .linalg import (diag_block_product, matmul, mul_diag_block_left,
                      mul_diag_block_right)
 from .tree import TruncatedTree, truncated_tree
 from .walk import WalkSpec, eval_vertex
+
+SKEW_TILE = 128     # rows and columns per tile of the skew part
 
 
 def shift_matrix(t: TruncatedTree) -> np.ndarray:
@@ -50,9 +55,22 @@ class TreeOperators(NamedTuple):
 
 
 def tree_operators(t: TruncatedTree) -> TreeOperators:
-    """Isometry L = S / sqrt(2) of the shift S, and defect projection E = 1 - L L*."""
+    """Isometry L = S / sqrt(2) of the shift S, and defect projection E = 1 - L L*.
+
+    E is 1 at the root, 1 - r r on every other diagonal entry and -r r
+    between siblings (i and i + 1 for odd i in breadth-first order), with
+    r = 1/sqrt(2): the entries of 1 - L L*, bit for bit, without the product.
+    """
+    n = t.size
     isometry = shift_matrix(t) / math.sqrt(2.0)
-    defect = np.eye(t.size, dtype=np.complex128) - matmul(isometry, isometry.conj().T)
+    r = 1.0 / math.sqrt(2.0)
+    defect = np.zeros((n, n), dtype=np.complex128)
+    below = np.arange(1, n)
+    defect[below, below] = 1.0 - r * r
+    defect[0, 0] = 1.0
+    odd = np.arange(1, n, 2)
+    defect[odd, odd + 1] = -r * r
+    defect[odd + 1, odd] = -r * r
     return TreeOperators(t, isometry, defect)
 
 
@@ -112,9 +130,37 @@ def shift_symmetry(isometry: np.ndarray, defect: np.ndarray,
     return out
 
 
-def evolution_matrix(symmetry: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """U = (symmetry) (coin), with the coin applied by exact column scaling."""
-    return mul_diag_block_right(symmetry, coin_blocks(a, b))
+def skew_part(symmetry: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Q = U - U* for the walk unitary U = (symmetry)(coin), tile by tile.
+
+    Each entry of U is the two-term sum ``mul_diag_block_right`` forms, and
+    each entry of Q the one subtraction U[i, j] - conj(U[j, i]), so Q is bit
+    for bit the dense difference, while only two tiles of U are ever held.
+    Tiles never straddle column n, where the coin's block columns meet.
+    """
+    d11, d12, d21, d22 = coin_blocks(a, b)
+    n = len(a)
+    edges = [*range(0, n, SKEW_TILE), *range(n, 2 * n, SKEW_TILE), 2 * n]
+    tiles = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+    def u_tile(rows: slice, cols: slice) -> np.ndarray:
+        g = symmetry[rows]
+        if cols.start < n:
+            k = slice(cols.start + n, cols.stop + n)
+            return g[:, cols] * d11[cols] + g[:, k] * d21[cols]
+        k = slice(cols.start - n, cols.stop - n)
+        return g[:, k] * d12[k] + g[:, cols] * d22[k]
+
+    out = np.empty_like(symmetry)
+    for i, rows in enumerate(tiles):
+        upper = u_tile(rows, rows)
+        out[rows, rows] = upper - upper.conj().T
+        for cols in tiles[i + 1:]:
+            upper = u_tile(rows, cols)
+            lower = u_tile(cols, rows)
+            out[rows, cols] = upper - lower.conj().T
+            out[cols, rows] = lower - upper.conj().T
+    return out
 
 
 def chirality_direct(p: float, q: complex, a: np.ndarray, b: np.ndarray,
@@ -161,7 +207,8 @@ class OperatorBundle:
 
     The coin is kept only as its per-vertex data ``a`` and ``b``; its blocks
     and the conjugator's are formed from them where needed.  ``symmetry`` and
-    ``skew = U - U*`` are dense 2n x 2n, ``isometry`` and ``defect`` n x n.
+    ``skew = U - U*`` are dense 2n x 2n, ``isometry`` and ``defect`` n x n; the
+    defect is closed-form, and the walk unitary U is never formed.
     """
 
     tree: TruncatedTree
@@ -180,8 +227,9 @@ def build_bundle(w: WalkSpec, depth: int, rule: str = "leftmost",
     """Construct the operator bundle at a truncation depth.
 
     Pass a precomputed ``ops`` to share the walk-independent tree operators
-    across several walks at the same depth.  The walk unitary
-    U = (symmetry)(coin) is formed only to take its skew part.
+    across several walks at the same depth.  No dense walk unitary
+    U = (symmetry)(coin) or U* is formed: ``skew_part`` builds U - U* from
+    the symmetry and the coin blocks, two tiles at a time.
     """
     if ops is None:
         ops = tree_operators(truncated_tree(depth))
@@ -190,8 +238,7 @@ def build_bundle(w: WalkSpec, depth: int, rule: str = "leftmost",
     t = ops.tree
     a, b = coin_values(w, t, rule)
     symmetry = shift_symmetry(ops.isometry, ops.defect, w.p, w.q)
-    evolution = evolution_matrix(symmetry, a, b)
-    skew = evolution - evolution.conj().T
+    skew = skew_part(symmetry, a, b)
     return OperatorBundle(tree=t, walk=w, isometry=ops.isometry, defect=ops.defect,
                           a=a, b=b, symmetry=symmetry, skew=skew,
                           interior=interior_mask(t))
@@ -241,7 +288,7 @@ def check_identities(bundle: OperatorBundle) -> dict[str, float]:
     residuals: dict[str, float] = {}
 
     gamma = bundle.symmetry
-    sq = gamma[inner2, :] @ gamma[:, inner2]
+    sq = matmul(gamma[inner2, :], gamma[:, inner2])
     residuals["symmetry_squared"] = float(np.max(np.abs(sq - np.eye(2 * m))))
 
     residuals["coin_squared"] = _block_residual(diag_block_product(cblocks, cblocks), (1, 1))
@@ -250,7 +297,7 @@ def check_identities(bundle: OperatorBundle) -> dict[str, float]:
     residuals["coin_diagonalized"] = _block_residual(
         diag_block_product(edagger, diag_block_product(cblocks, eblocks)), (1, -1))
 
-    el = bundle.defect[inner, :] @ bundle.isometry[:, inner]
+    el = matmul(bundle.defect[inner, :], bundle.isometry[:, inner])
     residuals["defect_kills_shift"] = float(np.max(np.abs(el)))
 
     skew_inner = bundle.skew[np.ix_(inner2, inner2)]

@@ -38,6 +38,14 @@ def line_file(tmp_path):
     return str(path)
 
 
+def _src_env():
+    """The environment of a subprocess that imports this checkout's package."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -222,7 +230,7 @@ def meminfo(tmp_path, monkeypatch):
     ["sweep", "--p-grid", "0,x"],
     ["check", "--depth", "0"],
     ["check", "--depth", "21"],
-    # dense arrays from 77 GB upwards, against 6 GB available
+    # dense arrays from 56 GB upwards, against 6 GB available
     ["check", "--depth", "13"],
     ["onedim", "--halfwidth", "100000"],
     ["falk", "--f-value", "1", "--trunc", "100000"],
@@ -251,6 +259,33 @@ def test_preflight_reads_mem_available(capsys, meminfo, tmp_path, monkeypatch, w
     # without a readable meminfo the preflight is skipped
     monkeypatch.setattr(cli, "MEMINFO", str(tmp_path / "absent"))
     assert run(capsys, "check", "--walk", walk_file, "--depth", "6")[0] == 0
+
+
+def test_preflight_reads_address_space_limit(walk_file):
+    # under a 3 GB address-space limit a depth-11 check (about 3.6 GB) is
+    # refused at once, where it used to die in numpy after seconds of work
+    script = """
+import resource, sys
+from chiralwalk.cli import main
+resource.setrlimit(resource.RLIMIT_AS, (3_000_000 * 1024, resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(main(sys.argv[1:]))
+"""
+    env = _src_env()
+
+    def check(depth):
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-c", script, "check", "--walk", walk_file,
+                               "--depth", str(depth)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        return done, time.perf_counter() - start
+
+    done, seconds = check(11)
+    assert done.returncode == 3, done.stderr
+    assert seconds < 1.0
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: --depth 11 needs about")
+    done, _ = check(6)
+    assert done.returncode == 0, done.stderr
 
 
 # reports pinned byte for byte: the block-decoded Monte Carlo stream and the
@@ -335,6 +370,15 @@ def test_check_golden(capsys):
     assert out == GOLDEN_CHECK
 
 
+def test_check_golden_depth10(capsys):
+    # the full-size bundle of the tree-check benchmark prints the same
+    # digits as depth 6
+    code, out, _ = run(capsys, "check", "--walk", str(CONFIGS / "level2_walk.json"),
+                       "--depth", "10")
+    assert code == 0
+    assert out == GOLDEN_CHECK
+
+
 def test_onedim_golden(capsys):
     code, out, _ = run(capsys, "onedim", "--walk", str(CONFIGS / "line_wall.json"),
                        "--halfwidth", "40")
@@ -369,9 +413,7 @@ for k, argv in enumerate(calls):
     assert main(argv + ["--out", {str(tmp_path)!r} + f"/out{{k}}"]) == 0, argv
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _src_env()
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from chiralwalk.linalg import (RankProfile, adjoint, block2,
-                               diag_block_product, matmul, mul_diag_block_left,
-                               mul_diag_block_right, svd_rank_profile, trace)
+from chiralwalk.linalg import (RankProfile, block2, diag_block_product,
+                               matmul, mul_diag_block_left,
+                               mul_diag_block_right, svd_rank_profile)
 
 
 def random_complex(rng, *shape):
@@ -48,29 +48,6 @@ def test_matmul_associativity_random_triples():
         assert np.linalg.norm(left - right) <= 1e-12 * max(np.linalg.norm(left), 1.0)
 
 
-def test_adjoint_involution():
-    rng = np.random.default_rng(0)
-    m = random_complex(rng, 4, 6)
-    assert np.array_equal(adjoint(adjoint(m)), m)
-
-
-def test_trace_identity():
-    assert trace(np.eye(5)) == 5
-
-
-def test_trace_nilpotent():
-    assert trace(np.array([[0, 1], [0, 0]], dtype=complex)) == 0
-
-
-def test_trace_rank_one_projection():
-    assert trace(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)) == 1
-
-
-def test_trace_requires_square():
-    with pytest.raises(ValueError, match="square"):
-        trace(np.zeros((2, 3)))
-
-
 def test_rank_profile_zero_matrix():
     profile = svd_rank_profile(np.zeros((3, 3)), 1e-8)
     assert profile == RankProfile(3, 3, pytest.approx([0.0, 0.0, 0.0]))
@@ -105,7 +82,7 @@ def test_kernel_of_adjoint_is_cokernel():
         m = random_complex(rng, rows, cols)
         m[:, 0] = 0  # force rank defect
         p = svd_rank_profile(m, 1e-10)
-        q = svd_rank_profile(adjoint(m), 1e-10)
+        q = svd_rank_profile(m.conj().T, 1e-10)
         assert p.kernel_dim == q.cokernel_dim
         assert p.cokernel_dim == q.kernel_dim
 

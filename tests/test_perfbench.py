@@ -1,0 +1,36 @@
+"""The benchmark's result line: the last line of ``perfbench/run.py`` must be
+one JSON object that holds every metric ``BENCHMARK.json`` names, each a
+finite number, and no traced binding may have gone missing."""
+
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite constant {name} in the result line")
+
+
+@pytest.mark.parametrize("trace,kind", [(1, "per_layer"), (0, "end_to_end")])
+def test_result_line_is_complete_and_finite(trace, kind):
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "desk-mix", "--seed", "1",
+         "--seconds", "0.1", "--trace", str(trace)],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    *_, diagnostics_line, result_line = done.stdout.splitlines()
+    result = json.loads(result_line, parse_constant=_reject_constant)
+    assert result["correct"] and result["failed"] == 0
+    metrics = result["metrics"]
+    for entry in SPEC[kind]:
+        assert entry["name"] in metrics, entry["name"]
+        assert math.isfinite(metrics[entry["name"]]["value"]), entry["name"]
+    diagnostics = json.loads(diagnostics_line, parse_constant=_reject_constant)["diagnostics"]
+    assert diagnostics.get("absent", []) == []

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+from chiralwalk import treeop
+from chiralwalk.linalg import mul_diag_block_right
 from chiralwalk.tree import truncated_tree
 from chiralwalk.treeop import (IDENTITY_NAMES, build_bundle, check_identities,
                                chirality_conjugated, chirality_direct,
@@ -71,6 +75,17 @@ def test_isometry_and_defect_structure(ops6):
     assert np.max(np.abs(defect @ defect - defect)) < 1e-14
     # annihilates the isometry everywhere on the truncation
     assert np.max(np.abs(defect @ isometry)) < 1e-14
+
+
+@pytest.mark.parametrize("depth", range(1, 11))
+def test_defect_closed_form_is_the_dense_product(depth):
+    # the closed form reproduces 1 - L L* bit for bit, signed zeros included
+    t = truncated_tree(depth)
+    isometry = shift_matrix(t) / math.sqrt(2.0)
+    dense_defect = np.eye(t.size, dtype=np.complex128) - isometry @ isometry.conj().T
+    ops = tree_operators(t)
+    assert ops.defect.tobytes() == dense_defect.tobytes()
+    assert ops.isometry.tobytes() == isometry.tobytes()
 
 
 def test_tree_operators_real_entries(ops6):
@@ -205,6 +220,21 @@ def test_identities_random_specs(ops6):
         for name, value in residuals.items():
             assert value < 1e-10, (name, value)
         assert residuals["defect_kills_shift"] < 1e-14
+
+
+@pytest.mark.parametrize("tile", [3, 5, None])
+def test_skew_part_is_the_dense_difference(monkeypatch, tile):
+    # U - U* from the dense U of mul_diag_block_right, bit for bit, whatever
+    # the tiles; odd tiles leave ragged edges on both halves
+    if tile is not None:
+        monkeypatch.setattr(treeop, "SKEW_TILE", tile)
+    rng = np.random.default_rng(16)
+    for depth in range(2, 9):
+        w = random_walk_spec(rng)
+        bundle = build_bundle(w, depth)
+        evolution = mul_diag_block_right(bundle.symmetry, coin_blocks(bundle.a, bundle.b))
+        dense_skew = evolution - evolution.conj().T
+        assert bundle.skew.tobytes() == dense_skew.tobytes(), depth
 
 
 def test_skew_is_antiselfadjoint(ops6):
