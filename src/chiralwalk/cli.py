@@ -1,7 +1,7 @@
 """Command-line surface: identity checks, windings, index pairings, lattice
 indices, Falk pairings, and parameter sweeps.
 
-Exit codes: 0 success, 2 symbol-singular (or inconclusive truncation),
+Exit codes: 0 success, 2 symbol-singular (or an inconclusive lattice index),
 3 invalid input (also input whose dense arrays would not fit in the available
 memory, refused before any work), 4 identity-residual breach.  Reports are
 JSON, grids are CSV; every command is deterministic for a fixed configuration
@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .cantor import Cylinder, ProductMeasure
 from .index import map_ordered, s_index_exact, s_index_montecarlo
-from .onedim import InconclusiveTruncationError, build_line, fredholm_index
+from .onedim import InconclusiveIndexError, build_line, fredholm_index
 from .symbol import (FALK_MIN_TRUNC, QUADRATURE_MIN_SAMPLES, SymbolLoop,
                      SymbolSingularError, falk_cylinder_pairing, falk_pairing,
                      loop_min, poles, solve_w0, winding_quadrature,
@@ -218,9 +218,8 @@ def cmd_index(args) -> int:
 
 
 def cmd_onedim(args) -> int:
-    # build_line and the SVD each peak near 12 m x m arrays over m sites;
-    # 13 keeps a margin
-    _preflight(f"--halfwidth {args.halfwidth}", 2 * args.halfwidth + 1, 13)
+    # the transfer count reads only the middle sites and three sites of each
+    # tail, so its memory grows with the input file, never with --halfwidth
     spec = parse_line_walk(_read_text(args.walk))
     try:
         bundle = build_line(spec, args.halfwidth)
@@ -316,7 +315,8 @@ def build_parser() -> _Parser:
 
     p_line = sub.add_parser("onedim", help="lattice Fredholm index (JSON)")
     p_line.add_argument("--walk", required=True, help="line walk JSON file")
-    p_line.add_argument("--halfwidth", type=int, default=300)
+    p_line.add_argument("--halfwidth", type=int, default=300,
+                        help="middle sites must lie in |n| <= N/2; the count never depends on N")
     p_line.add_argument("--tol", type=float, default=1e-8)
     p_line.add_argument("--out")
     p_line.set_defaults(func=cmd_onedim)
@@ -354,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
         cell = f" (cell {exc.cell!r})" if exc.cell else ""
         print(f"symbol singular: {exc}{cell}", file=sys.stderr)
         return EXIT_SINGULAR
-    except InconclusiveTruncationError as exc:
+    except InconclusiveIndexError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
 

@@ -3,8 +3,7 @@
 Matrices are plain 2-D ``numpy.ndarray`` values of dtype ``complex128`` in
 row-major order.  Everything here is a pure function of its inputs and
 deterministic for a fixed input: products go through BLAS with a fixed
-summation schedule, and the SVD is LAPACK ``gesdd`` (converged to machine
-precision, ~1e-12 relative).
+summation schedule.
 
 A coin-type operator on H (+) H has the form [[D11, D12], [D21, D22]] with
 every block a diagonal matrix, and it is represented only by its four
@@ -15,8 +14,6 @@ entry is the same 2-term sum) at O(n^2) cost instead of O(n^3).
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,36 +33,6 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
     return a @ b
-
-
-class RankProfile(NamedTuple):
-    kernel_dim: int
-    cokernel_dim: int
-    singular_values: np.ndarray
-
-
-def svd_rank_profile(m: np.ndarray, tol: float) -> RankProfile:
-    """Numerical kernel and cokernel dimensions at an explicit tolerance.
-
-    ``kernel_dim = cols - #{s_i > tol}`` and ``cokernel_dim = rows - rank``;
-    singular values are returned in nonincreasing order.  The tolerance is
-    always an explicit argument, never an internal default.
-    """
-    m = as_matrix(m)
-    if not (tol > 0):
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
-    s = np.linalg.svd(m, compute_uv=False)
-    rank = int(np.count_nonzero(s > tol))
-    rows, cols = m.shape
-    return RankProfile(cols - rank, rows - rank, s)
-
-
-def block2(b11, b12, b21, b22) -> np.ndarray:
-    """Assemble a dense 2x2 block matrix."""
-    return np.block([[as_matrix(b11), as_matrix(b12)],
-                     [as_matrix(b21), as_matrix(b22)]])
 
 
 def mul_diag_block_left(d, x: np.ndarray) -> np.ndarray:

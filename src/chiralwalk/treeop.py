@@ -34,20 +34,6 @@ from .walk import WalkSpec, eval_vertex
 SKEW_TILE = 128     # rows and columns per tile of the skew part
 
 
-def shift_matrix(t: TruncatedTree) -> np.ndarray:
-    """(S f)(v) = f(parent(v)); the root row is zero.
-
-    Column u holds the children of u that fit in the window, so vertices at
-    the truncation depth are annihilated by the adjoint side of the pairing.
-    """
-    n = t.size
-    s = np.zeros((n, n), dtype=np.complex128)
-    for child, par in enumerate(t.parent_index):
-        if par >= 0:
-            s[child, par] = 1.0
-    return s
-
-
 class TreeOperators(NamedTuple):
     tree: TruncatedTree
     isometry: np.ndarray
@@ -57,15 +43,22 @@ class TreeOperators(NamedTuple):
 def tree_operators(t: TruncatedTree) -> TreeOperators:
     """Isometry L = S / sqrt(2) of the shift S, and defect projection E = 1 - L L*.
 
+    (S f)(v) = f(parent(v)), and the root row is zero.  Column u holds the
+    children of u that fit in the window, so vertices at the truncation depth
+    are annihilated by the adjoint side of the pairing.
+
     E is 1 at the root, 1 - r r on every other diagonal entry and -r r
     between siblings (i and i + 1 for odd i in breadth-first order), with
     r = 1/sqrt(2): the entries of 1 - L L*, bit for bit, without the product.
     """
     n = t.size
-    isometry = shift_matrix(t) / math.sqrt(2.0)
     r = 1.0 / math.sqrt(2.0)
-    defect = np.zeros((n, n), dtype=np.complex128)
     below = np.arange(1, n)
+    # S / sqrt(2) written in place, r at (child, parent): the bytes of the
+    # quotient without a second n x n array
+    isometry = np.zeros((n, n), dtype=np.complex128)
+    isometry[below, np.asarray(t.parent_index[1:])] = r
+    defect = np.zeros((n, n), dtype=np.complex128)
     defect[below, below] = 1.0 - r * r
     defect[0, 0] = 1.0
     odd = np.arange(1, n, 2)

@@ -1,14 +1,32 @@
-"""Shared generators for randomized walk specs."""
+"""Shared generators for randomized walk specs, and the dense lattice route
+that witnesses ``chiralwalk.onedim``."""
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
-from chiralwalk.walk import SphereCoeff, WalkSpec
+from chiralwalk.linalg import mul_diag_block_right
+from chiralwalk.onedim import CRITICAL, TAIL_GAP
+from chiralwalk.walk import LineWalkSpec, SphereCoeff, WalkSpec, line_coeff
 
 
 def sphere_coeff(a: float, phase: float = 0.0) -> SphereCoeff:
     return SphereCoeff.make(a, np.sqrt(1.0 - a * a) * np.exp(1j * phase))
+
+
+def shift_matrix(t) -> np.ndarray:
+    """The dense tree shift of a truncated tree: (S f)(v) = f(parent(v)),
+    with a zero root row.  Oracle for ``treeop.tree_operators``, which writes
+    S / sqrt(2) in place."""
+    n = t.size
+    s = np.zeros((n, n), dtype=np.complex128)
+    for child, par in enumerate(t.parent_index):
+        if par >= 0:
+            s[child, par] = 1.0
+    return s
 
 
 def random_partition(rng: np.random.Generator, max_level: int, splits: int | None = None):
@@ -80,4 +98,158 @@ def reference_montecarlo(w: WalkSpec, m, samples: int, seed: int,
         mc_stderr=stderr,
         samples=samples,
         seed=seed,
+    )
+
+
+# --- the dense lattice route ----------------------------------------------
+#
+# The truncated lattice operators and the filtered SVD count that ``onedim``
+# used before it counted kernels with transfer matrices, kept as a witness:
+# on sites -N..N it forms the skew part U - U* densely, compresses it to the
+# chirality block, and counts singular values below tol whose vectors do not
+# pile up on the lattice edge.
+
+EDGE_FRACTION = 0.10     # outermost share of sites counted as "edge"
+EDGE_MASS = 0.50         # mass on the edge above which a vector is discarded
+AMBIGUOUS_FACTOR = 100.0
+
+
+class InconclusiveTruncationError(RuntimeError):
+    """Singular values fell between tol and 100 tol; enlarge the halfwidth."""
+
+
+@dataclass
+class DenseLineBundle:
+    """Truncated lattice operators for one line walk: the per-site coin data
+    ``a`` and ``b`` on sites -N..N and the dense skew part ``U - U*``."""
+
+    spec: LineWalkSpec
+    halfwidth: int
+    sites: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    skew: np.ndarray
+
+
+def dense_build_line(spec: LineWalkSpec, halfwidth: int) -> DenseLineBundle:
+    """Operators on sites -N..N (dimension 2(2N+1) for the block operators)."""
+    n_sites = 2 * halfwidth + 1
+    if halfwidth < 2:
+        raise ValueError("need halfwidth >= 2")
+    support = [pos for pos, _ in spec.middle]
+    if support and (min(support) < -halfwidth / 2 or max(support) > halfwidth / 2):
+        raise ValueError(
+            f"middle support {min(support)}..{max(support)} exceeds halfwidth/2 = {halfwidth / 2}")
+    sites = np.arange(-halfwidth, halfwidth + 1)
+    coeffs = [line_coeff(spec, int(n)) for n in sites]
+    a = np.array([c.a for c in coeffs])
+    b = np.array([c.b for c in coeffs], dtype=np.complex128)
+
+    shift = np.zeros((n_sites, n_sites), dtype=np.complex128)
+    idx = np.arange(n_sites - 1)
+    shift[idx + 1, idx] = 1.0
+
+    eye = np.eye(n_sites, dtype=np.complex128)
+    symmetry = np.block([[eye, shift.conj().T], [shift, -eye]]) / math.sqrt(2.0)
+    del shift, eye
+    cblocks = (a.astype(np.complex128), np.conj(b), b, -a.astype(np.complex128))
+    evolution = mul_diag_block_right(symmetry, cblocks)
+    del symmetry
+    skew = evolution - evolution.conj().T
+    return DenseLineBundle(spec=spec, halfwidth=halfwidth, sites=sites, a=a, b=b, skew=skew)
+
+
+def dense_chirality_map(bundle: DenseLineBundle) -> np.ndarray:
+    """The block (1-C)/2 Q (1+C)/2 written between orthonormal bases of the
+    coin eigenspaces.
+
+    The coin is block diagonal over sites, so its +-1 eigenvectors are the
+    per-site columns (s+, b/s+)/sqrt(2) and (-s-, b/s-)/sqrt(2); in those
+    bases the block is a square matrix indexed by lattice sites.
+    """
+    n = len(bundle.sites)
+    s_plus = np.sqrt(1.0 + bundle.a)
+    s_minus = np.sqrt(1.0 - bundle.a)
+    r = 1.0 / math.sqrt(2.0)
+    u1, u2 = r * s_plus, r * bundle.b / s_plus            # basis of Ran (1+C)/2
+    v1, v2 = -r * s_minus, r * bundle.b / s_minus         # basis of Ran (1-C)/2
+    q = bundle.skew
+    qb = q[:, :n] * u1 + q[:, n:] * u2                    # Q restricted to +1 side
+    return np.conj(v1)[:, None] * qb[:n] + np.conj(v2)[:, None] * qb[n:]
+
+
+@dataclass(frozen=True)
+class DenseLineIndexResult:
+    index: int
+    kernel_kept: int
+    cokernel_kept: int
+    kernel_discarded: int
+    cokernel_discarded: int
+    null_singular_values: tuple[float, ...]
+    gap: float
+
+    def to_json(self) -> dict:
+        return {
+            "index": self.index,
+            "kernel_kept": self.kernel_kept,
+            "cokernel_kept": self.cokernel_kept,
+            "kernel_discarded": self.kernel_discarded,
+            "cokernel_discarded": self.cokernel_discarded,
+            "null_singular_values": list(self.null_singular_values),
+            "gap": self.gap,
+        }
+
+
+def _edge_mass(vec: np.ndarray, edge: np.ndarray) -> float:
+    weight = np.abs(vec) ** 2
+    total = weight.sum()
+    return float(weight[edge].sum() / total) if total > 0 else 1.0
+
+
+def dense_fredholm_index(bundle: DenseLineBundle, tol: float = 1e-8) -> DenseLineIndexResult:
+    """Index of the chirality block from the filtered SVD rank defect.
+
+    Singular values below ``tol`` count as null directions; any value between
+    tol and 100 tol makes the truncation inconclusive.  Null singular vectors
+    carrying at least half their mass on the outermost tenth of sites are
+    truncation artifacts (a square truncation always pairs every small
+    singular value with vectors on both sides; the spurious side localizes at
+    the lattice edge) and are discarded before counting.
+    """
+    for side, value in (("left", bundle.spec.left.a), ("right", bundle.spec.right.a)):
+        if abs(abs(value) - CRITICAL) < TAIL_GAP:
+            raise ValueError(
+                f"{side} tail |a| = {abs(value):.4f} within {TAIL_GAP} of 1/sqrt(2); "
+                "the chirality block is not Fredholm there")
+    m = dense_chirality_map(bundle)
+    u, s, vh = np.linalg.svd(m)
+    ambiguous = s[(s > tol) & (s < AMBIGUOUS_FACTOR * tol)]
+    if ambiguous.size:
+        raise InconclusiveTruncationError(
+            f"singular values {ambiguous} inside ({tol}, {AMBIGUOUS_FACTOR * tol}); "
+            "increase the halfwidth")
+    null_idx = np.flatnonzero(s <= tol)
+    edge = np.abs(bundle.sites) >= (1.0 - EDGE_FRACTION) * bundle.halfwidth
+    kernel_kept = kernel_discarded = cokernel_kept = cokernel_discarded = 0
+    for i in null_idx:
+        right = vh[i].conj()
+        left = u[:, i]
+        if _edge_mass(right, edge) < EDGE_MASS:
+            kernel_kept += 1
+        else:
+            kernel_discarded += 1
+        if _edge_mass(left, edge) < EDGE_MASS:
+            cokernel_kept += 1
+        else:
+            cokernel_discarded += 1
+    above = s[s >= AMBIGUOUS_FACTOR * tol]
+    gap = float(above.min()) if above.size else float("inf")
+    return DenseLineIndexResult(
+        index=kernel_kept - cokernel_kept,
+        kernel_kept=kernel_kept,
+        cokernel_kept=cokernel_kept,
+        kernel_discarded=kernel_discarded,
+        cokernel_discarded=cokernel_discarded,
+        null_singular_values=tuple(float(x) for x in s[null_idx]),
+        gap=gap,
     )

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chiralwalk import cli
+from chiralwalk import cli, onedim
 from chiralwalk.cli import main
 from chiralwalk.walk import (LineWalkSpec, WalkSpec, line_walk_to_json,
                              walk_to_json)
@@ -230,9 +230,9 @@ def meminfo(tmp_path, monkeypatch):
     ["sweep", "--p-grid", "0,x"],
     ["check", "--depth", "0"],
     ["check", "--depth", "21"],
+    ["onedim", "--halfwidth", "1"],
     # dense arrays from 56 GB upwards, against 6 GB available
     ["check", "--depth", "13"],
-    ["onedim", "--halfwidth", "100000"],
     ["falk", "--f-value", "1", "--trunc", "100000"],
 ], ids=" ".join)
 def test_invalid_arguments_exit_3_before_work(capsys, meminfo, walk_file, line_file, argv):
@@ -350,14 +350,18 @@ GOLDEN_CHECK = (
 )
 
 GOLDEN_ONEDIM = """{
-  "cokernel_discarded": 1,
+  "cokernel_discarded": 0,
   "cokernel_kept": 0,
-  "gap": 0.650384277573321,
   "index": 1,
   "kernel_discarded": 0,
   "kernel_kept": 1,
-  "null_singular_values": [
-    1.6711502651095468e-10
+  "sines": [
+    null,
+    null
+  ],
+  "tail_margins": [
+    0.8055150594283031,
+    0.4355220644196308
   ]
 }
 """
@@ -384,6 +388,33 @@ def test_onedim_golden(capsys):
                        "--halfwidth", "40")
     assert code == 0
     assert out == GOLDEN_ONEDIM
+
+
+def test_onedim_halfwidth_changes_no_byte(capsys):
+    # the transfer count reads the same sites at every halfwidth
+    wall = str(CONFIGS / "line_wall.json")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "onedim", "--walk", wall, "--halfwidth", "100000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out == run(capsys, "onedim", "--walk", wall, "--halfwidth", "40")[1] == GOLDEN_ONEDIM
+
+
+def test_onedim_inconclusive_exits_2(capsys, tmp_path, monkeypatch):
+    # two narrow tails: each count compares two lines at a sine near 0.98,
+    # inside (0.02, 2)
+    spec = LineWalkSpec.make(sphere_coeff(0.3), sphere_coeff(0.0), [])
+    path = tmp_path / "narrow.json"
+    path.write_text(line_walk_to_json(spec))
+    code, out, err = run(capsys, "onedim", "--walk", str(path), "--tol", "0.02")
+    assert code == 2 and out == ""
+    assert err.startswith("inconclusive: sine")
+    assert run(capsys, "onedim", "--walk", str(path))[0] == 0
+    # counts that break the tail rule are never printed
+    monkeypatch.setattr(onedim, "classify_point", lambda a, p: 1)
+    code, out, err = run(capsys, "onedim", "--walk", str(CONFIGS / "line_wall.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("inconclusive: transfer counts give index 1, the tail windings 0")
 
 
 @pytest.mark.parametrize("measure,pairing", [("uniform", "0.0625"),

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from chiralwalk.linalg import (RankProfile, block2, diag_block_product,
-                               matmul, mul_diag_block_left,
-                               mul_diag_block_right, svd_rank_profile)
+from chiralwalk.linalg import (diag_block_product, matmul, mul_diag_block_left,
+                               mul_diag_block_right)
 
 
 def random_complex(rng, *shape):
@@ -48,52 +47,6 @@ def test_matmul_associativity_random_triples():
         assert np.linalg.norm(left - right) <= 1e-12 * max(np.linalg.norm(left), 1.0)
 
 
-def test_rank_profile_zero_matrix():
-    profile = svd_rank_profile(np.zeros((3, 3)), 1e-8)
-    assert profile == RankProfile(3, 3, pytest.approx([0.0, 0.0, 0.0]))
-
-
-def test_rank_profile_identity():
-    profile = svd_rank_profile(np.eye(4), 1e-8)
-    assert (profile.kernel_dim, profile.cokernel_dim) == (0, 0)
-    assert profile.singular_values == pytest.approx([1.0] * 4)
-
-
-def test_rank_profile_threshold():
-    profile = svd_rank_profile(np.diag([1.0, 1e-12]), 1e-8)
-    assert (profile.kernel_dim, profile.cokernel_dim) == (1, 1)
-    assert profile.singular_values == pytest.approx([1.0, 1e-12])
-
-
-def test_rank_profile_rejects_nonfinite():
-    bad = np.array([[1.0, np.nan], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="finite"):
-        svd_rank_profile(bad, 1e-8)
-
-
-def test_rank_profile_rejects_bad_tol():
-    with pytest.raises(ValueError, match="positive"):
-        svd_rank_profile(np.eye(2), 0.0)
-
-
-def test_kernel_of_adjoint_is_cokernel():
-    rng = np.random.default_rng(3)
-    for rows, cols in [(5, 8), (8, 5), (6, 6)]:
-        m = random_complex(rng, rows, cols)
-        m[:, 0] = 0  # force rank defect
-        p = svd_rank_profile(m, 1e-10)
-        q = svd_rank_profile(m.conj().T, 1e-10)
-        assert p.kernel_dim == q.cokernel_dim
-        assert p.cokernel_dim == q.kernel_dim
-
-
-def test_unitary_singular_values():
-    rng = np.random.default_rng(5)
-    q, _ = np.linalg.qr(random_complex(rng, 9, 9))
-    s = svd_rank_profile(q, 1e-8).singular_values
-    assert np.max(np.abs(s - 1.0)) < 1e-12
-
-
 def test_diag_block_multiplication_matches_dense():
     rng = np.random.default_rng(9)
     n = 6
@@ -112,8 +65,3 @@ def test_diag_block_product_matches_dense():
     combined = dense(diag_block_product(d, e))
     assert np.allclose(combined, dense(d) @ dense(e), atol=1e-13)
 
-
-def test_block2_layout():
-    m = block2(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)), 2 * np.eye(2))
-    assert m.shape == (4, 4)
-    assert m[0, 0] == 1 and m[3, 3] == 2

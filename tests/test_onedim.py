@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from chiralwalk.onedim import (InconclusiveTruncationError, build_line,
+from chiralwalk import onedim
+from chiralwalk.onedim import (InconclusiveIndexError, build_line,
                                chirality_map, fredholm_index)
 from chiralwalk.walk import LineWalkSpec
-from helpers import sphere_coeff
+from helpers import (InconclusiveTruncationError, dense_build_line,
+                     dense_chirality_map, dense_fredholm_index, sphere_coeff)
 
 
 def wall_spec(a_left, a_right, ramp=5):
@@ -18,7 +20,8 @@ def wall_spec(a_left, a_right, ramp=5):
 
 @pytest.fixture(scope="module")
 def wall_bundle():
-    return build_line(wall_spec(0.9, 0.3), 150)
+    # the dense witness: truncated operators on sites -150..150
+    return dense_build_line(wall_spec(0.9, 0.3), 150)
 
 
 def coin_and_projections(b):
@@ -62,7 +65,7 @@ def test_chirality_map_matches_projection_block(wall_bundle):
     # back in the full space: P- Q P+ = B- M B+ adjoint
     b = wall_bundle
     n = len(b.sites)
-    m = chirality_map(b)
+    m = dense_chirality_map(b)
     s_plus = np.sqrt(1 + b.a)
     s_minus = np.sqrt(1 - b.a)
     r = 1 / np.sqrt(2)
@@ -125,16 +128,16 @@ def test_tail_near_critical_rejected():
 
 def test_ambiguous_singular_values_rejected(wall_bundle):
     # pick a tolerance that lands a genuine singular value inside (tol, 100 tol)
-    m = chirality_map(wall_bundle)
+    m = dense_chirality_map(wall_bundle)
     s = np.linalg.svd(m, compute_uv=False)
     clean = s[s > 1e-6]
     tol = clean.min() / 50.0
     with pytest.raises(InconclusiveTruncationError, match="halfwidth"):
-        fredholm_index(wall_bundle, tol=tol)
+        dense_fredholm_index(wall_bundle, tol=tol)
 
 
 def test_diagnostics_fields(wall_bundle):
-    result = fredholm_index(wall_bundle, tol=1e-8)
+    result = dense_fredholm_index(wall_bundle, tol=1e-8)
     assert result.index == 1
     assert result.kernel_kept == 1
     assert result.cokernel_kept == 0
@@ -142,3 +145,143 @@ def test_diagnostics_fields(wall_bundle):
     assert result.gap > 0.1
     doc = result.to_json()
     assert doc["index"] == 1 and "gap" in doc
+
+
+# --- the transfer count against the dense witness ----------------------------
+
+TAILS = (-0.95, -0.9, -0.78, -0.64, -0.5, -0.2, 0.0, 0.3, 0.5, 0.64, 0.78, 0.9, 0.95)
+
+
+def random_wall(rng, far):
+    """A wall between two tails drawn from TAILS over a ramp of 1-8 sites,
+    with +-0.05 jitter in a.  The phase of b ramps linearly, or on a third of
+    the walls jumps to a random value at every ramp site; 30% of the walls add
+    an isolated site of random a and phase up to ``far`` sites out."""
+    a_left, a_right = (float(x) for x in rng.choice(TAILS, size=2))
+    phi_left, phi_right = rng.uniform(0.0, 2 * np.pi, size=2)
+    ramp = int(rng.integers(1, 9))
+    jumps = rng.random() < 1 / 3
+    middle = []
+    for n in range(-ramp, ramp + 1):
+        t = (n + ramp) / (2 * ramp)
+        a = a_left + t * (a_right - a_left) + rng.uniform(-0.05, 0.05)
+        phase = rng.uniform(0.0, 2 * np.pi) if jumps else phi_left + t * (phi_right - phi_left)
+        middle.append((n, sphere_coeff(float(np.clip(a, -0.97, 0.97)), phase)))
+    if rng.random() < 0.3:
+        n = int(rng.integers(ramp + 2, far + 1)) * int(rng.choice([-1, 1]))
+        middle.append((n, sphere_coeff(rng.uniform(-0.95, 0.95), rng.uniform(0.0, 2 * np.pi))))
+    return LineWalkSpec.make(sphere_coeff(a_left, phi_left),
+                             sphere_coeff(a_right, phi_right), middle)
+
+
+def test_closed_form_diagonals_are_the_dense_map():
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        spec = random_wall(rng, 15)
+        bundle = build_line(spec, 40)
+        sub, diag, sup = chirality_map(bundle)
+        dense = dense_chirality_map(dense_build_line(spec, 40))
+        assert np.array_equal(dense, np.triu(np.tril(dense, 1), -1))
+        window = dense[bundle.sites[:, None] + 40, bundle.sites[None, :] + 40]
+        assert np.max(np.abs(np.diag(window) - diag)) < 2e-15
+        assert np.max(np.abs(np.diag(window, 1) - sup)) < 2e-15
+        assert np.max(np.abs(np.diag(window, -1) - sub)) < 2e-15
+
+
+def dense_counts(spec, halfwidth):
+    """(kernel, cokernel) of the witness at ``halfwidth``, or at twice it
+    where a singular value of the truncation lies inside (tol, 100 tol)."""
+    try:
+        result = dense_fredholm_index(dense_build_line(spec, halfwidth), tol=1e-8)
+    except InconclusiveTruncationError:
+        result = dense_fredholm_index(dense_build_line(spec, 2 * halfwidth), tol=1e-8)
+    return result.kernel_kept, result.cokernel_kept
+
+
+def test_transfer_counts_match_the_dense_witness():
+    # 160 walls at N = 120; on a slowly decaying tail (|a| = 0.64 or 0.78)
+    # with an isolated site far out, the truncation can be inconclusive, and
+    # the witness is taken at N = 240 instead
+    rng = np.random.default_rng(401)
+    counts = set()
+    for _ in range(160):
+        spec = random_wall(rng, 55)
+        exact = fredholm_index(build_line(spec, 120), tol=1e-8)
+        assert (exact.kernel_kept, exact.cokernel_kept) == dense_counts(spec, 120), spec
+        counts.add((exact.kernel_kept, exact.cokernel_kept))
+    assert counts == {(0, 0), (1, 0), (0, 1), (2, 0), (0, 2)}
+
+
+@pytest.mark.parametrize("tails,expected", [((0.9, 0.3), 1),
+                                            ((0.3, 0.9), -1),
+                                            ((0.9, 0.9), 0)])
+def test_acceptance_walls_match_the_witness(tails, expected):
+    exact = fredholm_index(build_line(wall_spec(*tails), 300), tol=1e-8)
+    assert exact.index == expected
+    for halfwidth in (300, 600):
+        witness = dense_fredholm_index(dense_build_line(wall_spec(*tails), halfwidth), tol=1e-8)
+        assert ((exact.kernel_kept, exact.cokernel_kept)
+                == (witness.kernel_kept, witness.cokernel_kept))
+
+
+def test_result_does_not_depend_on_the_halfwidth():
+    spec = wall_spec(0.9, 0.3)
+    results = {fredholm_index(build_line(spec, halfwidth)) for halfwidth in (12, 40, 100_000)}
+    assert len(results) == 1
+    assert len(build_line(spec, 100_000).sites) == 2 * 5 + 1 + 2 * onedim.TAIL_SITES
+
+
+def test_tail_margins_are_the_transfer_eigenvalue_distances():
+    # in a constant tail the transfer eigenvalues have moduli
+    # (sqrt 2 -+ 1) / |rho| with |rho| = sqrt((1 - a) / (1 + a))
+    def margin(a):
+        rho = np.sqrt((1 - a) / (1 + a))
+        return min(abs(k / rho - 1) for k in (np.sqrt(2) - 1, np.sqrt(2) + 1))
+
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        spec = random_wall(rng, 20)
+        result = fredholm_index(build_line(spec, 60))
+        assert result.tail_margins == pytest.approx(
+            (margin(spec.left.a), margin(spec.right.a)), abs=1e-12)
+
+
+def test_sines_depend_only_on_the_tails():
+    # the kernel equations only scale the carried line, so the middle never
+    # moves it: a wall between two narrow tails never has a bound state
+    rng = np.random.default_rng(8)
+    reference = fredholm_index(build_line(wall_spec(0.3, -0.2), 40))
+    assert reference.index == 0 and None not in reference.sines
+    for _ in range(20):
+        middle = [(n, sphere_coeff(rng.uniform(-0.95, 0.95), rng.uniform(0, 2 * np.pi)))
+                  for n in range(-6, 7)]
+        spec = LineWalkSpec.make(sphere_coeff(0.3), sphere_coeff(-0.2), middle)
+        result = fredholm_index(build_line(spec, 40))
+        assert (result.kernel_kept, result.cokernel_kept) == (0, 0)
+        assert result.sines == pytest.approx(reference.sines, abs=1e-12)
+
+
+def test_sine_band_is_inconclusive():
+    # between two narrow tails both counts compare two lines, at sines near
+    # 0.98; at tol = 0.02 they fall inside (tol, 100 tol)
+    narrow = build_line(wall_spec(0.3, 0.0), 40)
+    assert min(fredholm_index(narrow, tol=1e-8).sines) > 2.0 * 0.02
+    with pytest.raises(InconclusiveIndexError, match="sine"):
+        fredholm_index(narrow, tol=0.02)
+    # where the dimensions decide, the tolerance plays no part
+    wide = build_line(wall_spec(0.9, 0.3), 40)
+    result = fredholm_index(wide, tol=0.02)
+    assert result.sines == (None, None)
+    assert result == fredholm_index(wide, tol=1e-8)
+
+
+def test_tail_rule_disagreement_is_inconclusive(monkeypatch):
+    monkeypatch.setattr(onedim, "classify_point", lambda a, p: 0)
+    with pytest.raises(InconclusiveIndexError, match="tail windings"):
+        fredholm_index(build_line(wall_spec(0.9, 0.3), 40))
+
+
+def test_halfwidth_guard():
+    spec = LineWalkSpec.make(sphere_coeff(0.9), sphere_coeff(0.3), [])
+    with pytest.raises(ValueError, match="halfwidth >= 2"):
+        build_line(spec, 1)

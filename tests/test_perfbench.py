@@ -18,10 +18,15 @@ def _reject_constant(name):
     raise ValueError(f"non-finite constant {name} in the result line")
 
 
-@pytest.mark.parametrize("trace,kind", [(1, "per_layer"), (0, "end_to_end")])
-def test_result_line_is_complete_and_finite(trace, kind):
+@pytest.mark.parametrize("workload,trace,kind", [
+    pytest.param("desk-mix", 1, "per_layer", id="1-per_layer"),
+    pytest.param("desk-mix", 0, "end_to_end", id="0-end_to_end"),
+    pytest.param("line-index", 1, "per_layer", id="line-index-1-per_layer"),
+    pytest.param("line-index", 0, "end_to_end", id="line-index-0-end_to_end"),
+])
+def test_result_line_is_complete_and_finite(workload, trace, kind):
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "desk-mix", "--seed", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "0.1", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr

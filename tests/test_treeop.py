@@ -10,9 +10,9 @@ from chiralwalk.treeop import (IDENTITY_NAMES, build_bundle, check_identities,
                                chirality_conjugated, chirality_direct,
                                coin_blocks, coin_values, conjugator_blocks,
                                interior_mask, route_disagreement,
-                               shift_matrix, shift_symmetry, tree_operators)
+                               shift_symmetry, tree_operators)
 from chiralwalk.walk import WalkSpec
-from helpers import random_walk_spec, sphere_coeff
+from helpers import random_walk_spec, shift_matrix, sphere_coeff
 
 
 @pytest.fixture(scope="module")
