@@ -11,7 +11,7 @@ uniform-measure pairings stay in exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 from .tree import check_vertex
 
@@ -57,9 +57,6 @@ class Dyadic:
 
     __rmul__ = __mul__
 
-    def halve(self) -> "Dyadic":
-        return Dyadic.make(self.num, self.exp + 1)
-
     def __lt__(self, other: "Dyadic") -> bool:
         e = max(self.exp, other.exp)
         return (self.num << (e - self.exp)) < (other.num << (e - other.exp))
@@ -77,10 +74,6 @@ class Dyadic:
         return f"{self.num}/2^{self.exp}" if self.exp else str(self.num)
 
 
-DYADIC_ZERO = Dyadic(0, 0)
-DYADIC_ONE = Dyadic(1, 0)
-
-
 @dataclass(frozen=True)
 class Cylinder:
     """All infinite 0/1 sequences extending ``prefix`` (empty = whole boundary)."""
@@ -93,12 +86,6 @@ class Cylinder:
     @property
     def level(self) -> int:
         return len(self.prefix)
-
-    def contains(self, other: "Cylinder") -> bool:
-        return other.prefix.startswith(self.prefix)
-
-    def disjoint(self, other: "Cylinder") -> bool:
-        return not (self.contains(other) or other.contains(self))
 
 
 @dataclass(frozen=True)
@@ -158,23 +145,14 @@ def cylinder_measure(m: ProductMeasure, c: Cylinder) -> Union[Dyadic, float]:
     return value
 
 
-def is_prefix_partition(prefixes: Iterable[str]) -> bool:
-    """True when the cylinders over ``prefixes`` partition the boundary."""
-    ps = list(prefixes)
-    if len(set(ps)) != len(ps):
-        return False
-    for p in ps:
+def check_prefix_partition(prefixes: list[str]) -> None:
+    """Raise unless the cylinders over ``prefixes`` partition the boundary."""
+    for p in prefixes:
         check_vertex(p)
-    for i, a in enumerate(ps):
-        for b in ps[i + 1:]:
-            if a.startswith(b) or b.startswith(a):
-                return False
-    top = max((len(p) for p in ps), default=0)
-    return sum(1 << (top - len(p)) for p in ps) == (1 << top)
-
-
-def check_prefix_partition(prefixes: Iterable[str]) -> None:
-    if not is_prefix_partition(prefixes):
+    top = max((len(p) for p in prefixes), default=0)
+    nested = any(a.startswith(b) or b.startswith(a)
+                 for i, a in enumerate(prefixes) for b in prefixes[i + 1:])
+    if nested or sum(1 << (top - len(p)) for p in prefixes) != 1 << top:
         raise ValueError(f"prefixes do not form a complete prefix code: {sorted(prefixes)}")
 
 

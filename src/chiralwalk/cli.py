@@ -2,7 +2,7 @@
 indices, Falk pairings, and parameter sweeps.
 
 Exit codes: 0 success, 2 symbol-singular (or an inconclusive lattice index),
-3 invalid input (also input whose dense arrays would not fit in the available
+3 invalid input (also input whose arrays would not fit in the available
 memory, refused before any work), 4 identity-residual breach.  Reports are
 JSON, grids are CSV; every command is deterministic for a fixed configuration
 and seed.
@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .cantor import Cylinder, ProductMeasure
-from .index import map_ordered, s_index_exact, s_index_montecarlo
+from .index import s_index_exact, s_index_montecarlo
 from .onedim import InconclusiveIndexError, build_line, fredholm_index
 from .symbol import (FALK_MIN_TRUNC, QUADRATURE_MIN_SAMPLES, SymbolLoop,
                      SymbolSingularError, falk_cylinder_pairing, falk_pairing,
@@ -38,6 +38,13 @@ EXIT_RESIDUAL = 4
 MEMINFO = "/proc/meminfo"
 STATUS = "/proc/self/status"
 BASE_BYTES = 64e6    # interpreter, numpy and BLAS before the first dense array
+# peaks per unit of the 1-D inputs, measured with tracemalloc at 1e5-4e6 units
+# and rounded up: 72 B per circle sample (winding, sweep), 24 B per Monte Carlo
+# sample, 650 B per sweep row and 32 B per range-grid value
+CIRCLE_SAMPLE_BYTES = 80
+MC_SAMPLE_BYTES = 32
+ROW_BYTES = 800
+GRID_BYTES = 40
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,11 +85,11 @@ def _proc_bytes(path: str, key: str) -> int | None:
     return None
 
 
-def _preflight(flag: str, dim: int, squares: int) -> None:
-    """Refuse, before any work, a call whose peak of ``squares`` live dense
-    complex128 dim x dim arrays does not fit in the available memory or in
-    what the soft address-space limit leaves above the process's size."""
-    need = BASE_BYTES + 16.0 * squares * dim * dim
+def _preflight(flag: str, nbytes: float) -> None:
+    """Refuse, before any work, a call whose arrays of ``nbytes`` at their
+    peak do not fit in the available memory or in what the soft
+    address-space limit leaves above the process's size."""
+    need = BASE_BYTES + nbytes
     available = _proc_bytes(MEMINFO, "MemAvailable")
     if available is not None and need > available:
         raise ValidationError(f"{flag} needs about {need / 1e9:.1f} GB of memory, "
@@ -112,7 +119,7 @@ def _parse_cylinder(prefix: str) -> Cylinder:
         raise ValidationError(f"--cylinder must be a bit string, got {prefix!r}") from None
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(flag: str, text: str) -> list[float]:
     """Comma list '0,0.25,0.5' or range 'start:stop:step' (stop inclusive)."""
     def floats(parts):
         try:
@@ -127,7 +134,11 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = floats(parts)
         if step <= 0:
             raise ValidationError("grid step must be positive")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        span = (stop - start) / step + 1e-9
+        if not math.isfinite(span):
+            raise ValidationError(f"bad grid {text!r} (the point count is not finite)")
+        count = int(math.floor(span)) + 1
+        _preflight(f"{flag} {text}", GRID_BYTES * max(count, 0))
         return [start + i * step for i in range(max(count, 0))]
     if not text.strip():
         return []
@@ -140,7 +151,7 @@ def cmd_check(args) -> int:
         raise ValidationError(f"--depth must lie in [2, {MAX_DEPTH}], got {args.depth}")
     # a depth-10 check peaks near 11.8 n x n arrays (the bundle's L, E and
     # two 2n x 2n ones, plus transients); 13 keeps a margin
-    _preflight(f"--depth {args.depth}", 2 ** (args.depth + 1) - 1, 13)
+    _preflight(f"--depth {args.depth}", 13 * 16.0 * (2 ** (args.depth + 1) - 1) ** 2)
     w = parse_walk(_read_text(args.walk))
     bundle = build_bundle(w, args.depth)
     residuals = check_identities(bundle)
@@ -174,6 +185,7 @@ def _loop_from_args(args) -> SymbolLoop:
 
 def cmd_winding(args) -> int:
     _at_least("--samples", args.samples, QUADRATURE_MIN_SAMPLES)
+    _preflight(f"--samples {args.samples}", CIRCLE_SAMPLE_BYTES * args.samples)
     s = _loop_from_args(args)
     min_abs, witness = loop_min(s, args.samples)
     doc: dict = {
@@ -206,13 +218,13 @@ def cmd_index(args) -> int:
     measure = _parse_measure(args.measure)
     if args.mode == "mc":
         _at_least("--samples", args.samples, 1)
+        _at_least("--seed", args.seed, 0)
+        _preflight(f"--samples {args.samples}", MC_SAMPLE_BYTES * args.samples)
     w = parse_walk(_read_text(args.walk))
-    workers = max(args.workers, 1)
     if args.mode == "exact":
-        report = s_index_exact(w, measure, workers=workers)
+        report = s_index_exact(w, measure)
     else:
-        report = s_index_montecarlo(w, measure, samples=args.samples,
-                                    seed=args.seed, workers=workers)
+        report = s_index_montecarlo(w, measure, samples=args.samples, seed=args.seed)
     _write_out(report.to_json() + "\n", args.out)
     return EXIT_OK
 
@@ -233,7 +245,7 @@ def cmd_onedim(args) -> int:
 def cmd_falk(args) -> int:
     _at_least("--trunc", args.trunc, FALK_MIN_TRUNC)
     # falk_pairing holds about 8 square arrays of its padded window
-    _preflight(f"--trunc {args.trunc}", args.trunc + 4, 8)
+    _preflight(f"--trunc {args.trunc}", 8 * 16.0 * (args.trunc + 4) ** 2)
     if args.cylinder is not None:
         cylinder = _parse_cylinder(args.cylinder)
         measure = _parse_measure(args.measure)
@@ -251,15 +263,18 @@ def cmd_falk(args) -> int:
 
 def cmd_sweep(args) -> int:
     _at_least("--samples", args.samples, QUADRATURE_MIN_SAMPLES)
-    p_grid = _parse_grid(args.p_grid)
-    a_grid = _parse_grid(args.a_grid)
+    p_grid = _parse_grid("--p-grid", args.p_grid)
+    a_grid = _parse_grid("--a-grid", args.a_grid)
+    # the rows are held until the CSV is written; one row's circle samples
+    # are live at a time
+    _preflight(f"{len(p_grid)} x {len(a_grid)} grid points at --samples {args.samples}",
+               ROW_BYTES * len(p_grid) * len(a_grid) + CIRCLE_SAMPLE_BYTES * args.samples)
     points = [(p, a) for p in p_grid for a in a_grid]
     for _, a in points:
         if abs(a) >= 1:
             raise ValidationError(f"grid value |a| = {abs(a)} not below 1")
 
-    def row(point):
-        p, a = point
+    def row(p, a):
         q = math.sqrt(max(1.0 - p * p, 0.0))
         s = SymbolLoop(a=a, b=math.sqrt(1.0 - a * a), p=p, q=q)
         min_abs, _ = loop_min(s, args.samples)
@@ -270,7 +285,7 @@ def cmd_sweep(args) -> int:
         return [repr(p), repr(a), winding_residues(s),
                 repr(winding_quadrature(s, args.samples)), repr(min_abs), "ok"]
 
-    rows = map_ordered(row, points, max(args.workers, 1))
+    rows = [row(p, a) for p, a in points]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["p", "a", "winding_residues", "winding_quadrature",
@@ -308,8 +323,6 @@ def build_parser() -> _Parser:
     p_index.add_argument("--mode", choices=["exact", "mc"], default="exact")
     p_index.add_argument("--samples", type=int, default=4000)
     p_index.add_argument("--seed", type=int, default=0)
-    p_index.add_argument("--workers", type=int, default=1,
-                         help="threads for the per-cell windings; never changes values")
     p_index.add_argument("--out")
     p_index.set_defaults(func=cmd_index)
 
@@ -333,11 +346,12 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--p-grid", default="0,0.25,0.5,0.75")
     p_sweep.add_argument("--a-grid", default="-0.95:0.95:0.05")
     p_sweep.add_argument("--samples", type=int, default=4096)
-    p_sweep.add_argument("--workers", type=int, default=1,
-                         help="threads over grid points; rows are always "
-                              "emitted in canonical order")
     p_sweep.add_argument("--out")
     p_sweep.set_defaults(func=cmd_sweep)
+
+    # accepted and ignored: perfbench/workloads.py still passes --workers 1
+    for p in (p_index, p_sweep):
+        p.add_argument("--workers", type=int, help=argparse.SUPPRESS)
 
     return parser
 

@@ -11,7 +11,6 @@ whole computation by name, since the index theorem's hypothesis is global.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,18 +18,6 @@ import numpy as np
 from .cantor import Cylinder, Dyadic, ProductMeasure, cylinder_measure
 from .symbol import SymbolLoop, SymbolSingularError, winding_quadrature, winding_residues
 from .walk import SphereCoeff, WalkSpec
-
-
-def map_ordered(fn, items, workers: int):
-    """Map preserving order; a thread pool when workers > 1.
-
-    The work items are pure functions of their inputs, so the result is
-    identical for any worker count.
-    """
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def classify_point(a: float, p: float) -> int:
@@ -87,9 +74,8 @@ class IndexReport:
         return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _checked_cell_windings(w: WalkSpec, workers: int = 1):
-    def one(item):
-        prefix, coeff = item
+def _checked_cell_windings(w: WalkSpec):
+    def one(prefix, coeff):
         try:
             return prefix, coeff, winding_residues(loop_for_cell(w, coeff))
         except SymbolSingularError:
@@ -97,7 +83,7 @@ def _checked_cell_windings(w: WalkSpec, workers: int = 1):
                 f"cell {prefix!r} is degenerate: |a| = |p| = {abs(coeff.a)}",
                 cell=prefix) from None
 
-    return map_ordered(one, w.cells, workers)
+    return [one(prefix, coeff) for prefix, coeff in w.cells]
 
 
 def _classification_counts(windings) -> dict:
@@ -108,15 +94,14 @@ def _classification_counts(windings) -> dict:
     }
 
 
-def s_index_exact(w: WalkSpec, m: ProductMeasure, workers: int = 1) -> IndexReport:
+def s_index_exact(w: WalkSpec, m: ProductMeasure) -> IndexReport:
     """Exact pairing: sum over cells of winding times cell measure.
 
     Windings come from the residue classification (integers, no quadrature
     error), so under the uniform measure the result is an exact dyadic
-    rational; other product measures give a float.  The cell loop is data
-    parallel; the summation is a fixed-order reduction either way.
+    rational; other product measures give a float.
     """
-    cells = _checked_cell_windings(w, workers)
+    cells = _checked_cell_windings(w)
     per_cell = []
     numeric = 0.0
     exact: Dyadic | None = Dyadic(0, 0) if m.kind == "uniform" else None
@@ -232,8 +217,8 @@ def _sample_cells(prefixes: list[str], m: ProductMeasure, samples: int,
     return np.concatenate(chunks)
 
 
-def s_index_montecarlo(w: WalkSpec, m: ProductMeasure, samples: int, seed: int,
-                       quadrature_samples: int = 4096, workers: int = 1) -> IndexReport:
+def s_index_montecarlo(w: WalkSpec, m: ProductMeasure, samples: int,
+                       seed: int) -> IndexReport:
     """Monte Carlo pairing: mean winding over boundary points drawn from m.
 
     Each point draws only enough coordinates to land in a cell of the walk;
@@ -243,17 +228,15 @@ def s_index_montecarlo(w: WalkSpec, m: ProductMeasure, samples: int, seed: int,
     phase-unwrap quadrature and rounded to the nearest integer (the raw value
     is checked to sit within 1e-6 of it), so the estimator is an exact
     average of integers.  Deterministic for a fixed seed: the per-cell
-    quadratures are precomputed (in parallel when workers > 1, with no effect
-    on the values) and the bit stream is a single sequential generator, so
-    the worker count never changes the report.
+    quadratures are precomputed and the bit stream is a single sequential
+    generator.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    checked = _checked_cell_windings(w, workers)
+    checked = _checked_cell_windings(w)
 
-    def quadrature(item):
-        prefix, coeff, _ = item
-        raw = winding_quadrature(loop_for_cell(w, coeff), quadrature_samples)
+    def quadrature(prefix, coeff):
+        raw = winding_quadrature(loop_for_cell(w, coeff))
         rounded = int(round(raw))
         if abs(raw - rounded) > 1e-6:
             raise SymbolSingularError(
@@ -261,7 +244,7 @@ def s_index_montecarlo(w: WalkSpec, m: ProductMeasure, samples: int, seed: int,
                 cell=prefix)
         return rounded
 
-    windings = map_ordered(quadrature, checked, workers)
+    windings = [quadrature(prefix, coeff) for prefix, coeff, _ in checked]
     prefixes = [prefix for prefix, _, _ in checked]
     sampled = _sample_cells(prefixes, m, samples, np.random.default_rng(seed))
     hits = np.bincount(sampled, minlength=len(prefixes)).tolist()

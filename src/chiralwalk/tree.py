@@ -22,31 +22,6 @@ def check_vertex(v: str) -> str:
     return v
 
 
-def depth(v: str) -> int:
-    return len(check_vertex(v))
-
-
-def parent(v: str) -> str:
-    """Drop the last bit; the root has no parent."""
-    check_vertex(v)
-    if v == ROOT:
-        raise ValueError("the root has no parent")
-    return v[:-1]
-
-
-def sibling(v: str) -> str:
-    """Flip the last bit; the root has no sibling."""
-    check_vertex(v)
-    if v == ROOT:
-        raise ValueError("the root has no sibling")
-    return v[:-1] + ("1" if v[-1] == "0" else "0")
-
-
-def children(v: str) -> tuple[str, str]:
-    check_vertex(v)
-    return v + "0", v + "1"
-
-
 @dataclass(frozen=True)
 class TruncatedTree:
     """Finite window of the binary tree: all vertices of depth <= depth.
@@ -63,19 +38,6 @@ class TruncatedTree:
     def size(self) -> int:
         return len(self.addresses)
 
-    def index_of(self, v: str) -> int:
-        check_vertex(v)
-        if len(v) > self.depth:
-            raise ValueError(f"vertex {v!r} lies below depth {self.depth}")
-        # breadth-first, lexicographic within a level
-        return (1 << len(v)) - 1 + (int(v, 2) if v else 0)
-
-    def level_range(self, k: int) -> range:
-        """Index range occupied by the vertices of depth k."""
-        if not 0 <= k <= self.depth:
-            raise ValueError(f"level {k} outside [0, {self.depth}]")
-        return range((1 << k) - 1, (1 << (k + 1)) - 1)
-
 
 def truncated_tree(d: int) -> TruncatedTree:
     """Enumerate the binary tree truncated at depth d (1 <= d <= MAX_DEPTH)."""
@@ -86,6 +48,7 @@ def truncated_tree(d: int) -> TruncatedTree:
     for _ in range(d):
         level = [v + bit for v in level for bit in "01"]
         addresses.extend(level)
-    index = {v: i for i, v in enumerate(addresses)}
-    parent_index = tuple(-1 if v == ROOT else index[v[:-1]] for v in addresses)
+    # breadth-first and lexicographic within a level, so vertex i's parent is
+    # (i - 1) // 2, which is -1 for the root
+    parent_index = tuple((i - 1) // 2 for i in range(len(addresses)))
     return TruncatedTree(depth=d, addresses=tuple(addresses), parent_index=parent_index)

@@ -66,7 +66,8 @@ class WalkSpec:
     @staticmethod
     def make(p: float, q: complex, cells) -> "WalkSpec":
         p, q = _normalize_pair(float(p), complex(q), "chirality parameter (p, q)")
-        items = sorted((check_vertex(prefix), coeff) for prefix, coeff in cells)
+        items = sorted(((check_vertex(prefix), coeff) for prefix, coeff in cells),
+                       key=lambda item: item[0])
         try:
             check_prefix_partition([prefix for prefix, _ in items])
         except ValueError as exc:
@@ -76,9 +77,6 @@ class WalkSpec:
     @property
     def max_level(self) -> int:
         return max(len(prefix) for prefix, _ in self.cells)
-
-    def cell_prefixes(self) -> list[str]:
-        return [prefix for prefix, _ in self.cells]
 
 
 def eval_boundary(w: WalkSpec, c: Cylinder) -> SphereCoeff:

@@ -63,16 +63,14 @@ def random_walk_spec(rng: np.random.Generator, max_level: int = 3,
     return WalkSpec.make(p, q, cells)
 
 
-def reference_montecarlo(w: WalkSpec, m, samples: int, seed: int,
-                         quadrature_samples: int = 4096):
+def reference_montecarlo(w: WalkSpec, m, samples: int, seed: int):
     """The scalar Monte Carlo pairing: one ``rng.random()`` and one
     ``m.weight`` call per boundary bit.  Reference for the vectorized decode
     in ``s_index_montecarlo``, whose reports must match it byte for byte."""
     from chiralwalk.index import CellWinding, IndexReport, loop_for_cell
     from chiralwalk.symbol import winding_quadrature
 
-    cell_winding = {prefix: int(round(winding_quadrature(loop_for_cell(w, coeff),
-                                                         quadrature_samples)))
+    cell_winding = {prefix: int(round(winding_quadrature(loop_for_cell(w, coeff))))
                     for prefix, coeff in w.cells}
     rng = np.random.default_rng(seed)
     hits = {prefix: 0 for prefix in cell_winding}

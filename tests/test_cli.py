@@ -91,6 +91,9 @@ def test_index_exact_report(capsys, walk_file):
     doc = json.loads(out)
     assert doc["exact"] == {"num": 1, "exp": 2}
     assert doc["numeric"] == 0.25
+    # the exact pairing reads no seed, so it accepts any
+    assert run(capsys, "index", "--walk", walk_file, "--mode", "exact",
+               "--seed", "-1") == (0, out, "")
 
 
 def test_index_degenerate_cell(capsys, tmp_path):
@@ -187,8 +190,17 @@ def test_sweep_structure(capsys):
 def test_sweep_workers_keep_canonical_order(capsys):
     argv = ["sweep", "--p-grid", "0,0.5", "--a-grid=-0.8:0.8:0.2", "--samples", "256"]
     _, serial, _ = run(capsys, *argv, "--workers", "1")
-    _, threaded, _ = run(capsys, *argv, "--workers", "4")
-    assert serial == threaded
+    _, four, _ = run(capsys, *argv, "--workers", "4")
+    assert serial == four
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_index_workers_change_no_byte(capsys, walk_file, mode):
+    # --workers is accepted and ignored: the index runs one serial path
+    argv = ["index", "--walk", walk_file, "--mode", mode, "--samples", "300", "--seed", "2"]
+    code, serial, _ = run(capsys, *argv, "--workers", "1")
+    assert code == 0
+    assert run(capsys, *argv, "--workers", "4") == (0, serial, "")
 
 
 def test_sweep_empty_grid(capsys):
@@ -222,12 +234,14 @@ def meminfo(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ["index", "--mode", "mc", "--samples", "0"],
+    ["index", "--mode", "mc", "--seed", "-1"],
     ["index", "--measure", "bernoulli:1.5"],
     ["falk", "--cylinder", "012"],
     ["falk", "--f-value", "1", "--trunc", "5"],
     ["winding", "--a", "0.5", "--samples", "10"],
     ["sweep", "--samples", "0", "--p-grid", "0", "--a-grid", "0.5"],
     ["sweep", "--p-grid", "0,x"],
+    ["sweep", "--p-grid", "0", "--a-grid", "0:1:1e-320"],
     ["check", "--depth", "0"],
     ["check", "--depth", "21"],
     ["onedim", "--halfwidth", "1"],
@@ -261,20 +275,23 @@ def test_preflight_reads_mem_available(capsys, meminfo, tmp_path, monkeypatch, w
     assert run(capsys, "check", "--walk", walk_file, "--depth", "6")[0] == 0
 
 
-def test_preflight_reads_address_space_limit(walk_file):
-    # under a 3 GB address-space limit a depth-11 check (about 3.6 GB) is
-    # refused at once, where it used to die in numpy after seconds of work
-    script = """
+# the CLI under a 3 GB address-space limit
+LIMITED_MAIN = """
 import resource, sys
 from chiralwalk.cli import main
 resource.setrlimit(resource.RLIMIT_AS, (3_000_000 * 1024, resource.getrlimit(resource.RLIMIT_AS)[1]))
 sys.exit(main(sys.argv[1:]))
 """
+
+
+def test_preflight_reads_address_space_limit(walk_file):
+    # under a 3 GB address-space limit a depth-11 check (about 3.6 GB) is
+    # refused at once, where it used to die in numpy after seconds of work
     env = _src_env()
 
     def check(depth):
         start = time.perf_counter()
-        done = subprocess.run([sys.executable, "-c", script, "check", "--walk", walk_file,
+        done = subprocess.run([sys.executable, "-c", LIMITED_MAIN, "check", "--walk", walk_file,
                                "--depth", str(depth)],
                               env=env, capture_output=True, text=True, timeout=300)
         return done, time.perf_counter() - start
@@ -286,6 +303,25 @@ sys.exit(main(sys.argv[1:]))
     assert done.stderr.startswith("error: --depth 11 needs about")
     done, _ = check(6)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["winding", "--a", "0.3", "--samples", "20000000000"],
+    ["index", "--mode", "mc", "--samples", "20000000000"],
+    ["sweep", "--p-grid", "0", "--a-grid", "0.5", "--samples", "20000000000"],
+    ["sweep", "--p-grid", "0", "--a-grid", "0:1e-300:1e-310"],
+    ["sweep", "--p-grid=0:1:0.0001", "--a-grid=-0.9:0.9:0.0001"],
+], ids=" ".join)
+def test_oversized_1d_input_exits_3_before_work(walk_file, argv):
+    # samples and grid points from 140 GB upwards; the 3 GB address-space
+    # limit keeps a missed refusal from taking the machine's memory
+    if argv[0] == "index":
+        argv = argv + ["--walk", walk_file]
+    done = subprocess.run([sys.executable, "-c", LIMITED_MAIN, *argv], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 3, done.stderr
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
 
 
 # reports pinned byte for byte: the block-decoded Monte Carlo stream and the
@@ -427,7 +463,8 @@ def test_falk_cylinder_golden(capsys, measure, pairing):
 
 
 def test_no_subcommand_imports_scipy(tmp_path, walk_file, line_file):
-    # a scipy import would add tens of MB of RSS and about 0.1 s to every call
+    # a scipy import would add tens of MB of RSS and about 0.1 s to every
+    # call; the subcommands run serially, so no thread pool is loaded either
     script = f"""
 import sys
 from chiralwalk.cli import main
@@ -442,7 +479,7 @@ calls = [
 ]
 for k, argv in enumerate(calls):
     assert main(argv + ["--out", {str(tmp_path)!r} + f"/out{{k}}"]) == 0, argv
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+print(sorted(name for name in sys.modules if name.split(".")[0] in ("scipy", "concurrent")))
 """
     env = _src_env()
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,

@@ -162,15 +162,6 @@ def test_mc_block_boundaries_keep_the_stream(monkeypatch):
                     == reference_montecarlo(w, m, 700, seed=5).to_json())
 
 
-def test_worker_count_never_changes_results():
-    w = level2_walk()
-    uniform = ProductMeasure.uniform()
-    assert (s_index_exact(w, uniform, workers=3).to_json()
-            == s_index_exact(w, uniform, workers=1).to_json())
-    assert (s_index_montecarlo(w, uniform, 300, seed=2, workers=4).to_json()
-            == s_index_montecarlo(w, uniform, 300, seed=2, workers=1).to_json())
-
-
 def test_mc_within_three_stderr_battery():
     # fixed battery over 100 seeds on two walks; at most 1 excursion beyond
     # three standard errors

@@ -330,7 +330,7 @@ def falk_cylinder_loop(cyl, measure, trunc):
     for i in range(1 << cyl.level):
         cell = Cylinder(format(i, f"0{cyl.level}b") if cyl.level else "")
         total += (float(cylinder_measure(measure, cell))
-                  * falk_pairing(1 if cyl.contains(cell) else 0, trunc))
+                  * falk_pairing(1 if cell.prefix.startswith(cyl.prefix) else 0, trunc))
     return total
 
 

@@ -1,52 +1,11 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from chiralwalk.tree import (MAX_DEPTH, ROOT, children, depth, parent, sibling,
-                             truncated_tree)
-
-bit_strings = st.text(alphabet="01", min_size=0, max_size=12)
-nonroot = st.text(alphabet="01", min_size=1, max_size=12)
-
-
-def test_parent_examples():
-    assert parent("01") == "0"
-    assert parent("1") == ROOT
-
-
-def test_parent_of_root_fails():
-    with pytest.raises(ValueError, match="no parent"):
-        parent(ROOT)
-
-
-def test_sibling_examples():
-    assert sibling("01") == "00"
-    assert sibling("1") == "0"
-    assert sibling("110") == "111"
-
-
-def test_sibling_of_root_fails():
-    with pytest.raises(ValueError):
-        sibling(ROOT)
+from chiralwalk.tree import MAX_DEPTH, ROOT, check_vertex, truncated_tree
 
 
 def test_rejects_non_bits():
     with pytest.raises(ValueError):
-        parent("0a1")
-
-
-@given(nonroot)
-def test_sibling_involution(v):
-    assert sibling(sibling(v)) == v
-    assert parent(sibling(v)) == parent(v)
-
-
-@given(bit_strings)
-def test_children_parent_roundtrip(v):
-    left, right = children(v)
-    assert parent(left) == v and parent(right) == v
-    assert sibling(left) == right
-    assert depth(left) == depth(v) + 1
+        check_vertex("0a1")
 
 
 @pytest.mark.parametrize("d,size", [(1, 3), (2, 7), (3, 15), (10, 2047)])
@@ -62,18 +21,16 @@ def test_depth_out_of_range(d):
 
 def test_breadth_first_indexing():
     t = truncated_tree(4)
-    assert t.index_of(ROOT) == 0
     assert t.addresses[0] == ROOT
+    # breadth-first, lexicographic within a level
     for i, v in enumerate(t.addresses):
-        assert t.index_of(v) == i
+        assert (1 << len(v)) - 1 + (int(v, 2) if v else 0) == i
     # depth-k block occupies [2^k - 1, 2^(k+1) - 2]
     for k in range(t.depth + 1):
-        block = t.level_range(k)
-        assert block.start == (1 << k) - 1
-        assert block.stop == (1 << (k + 1)) - 1
+        block = range((1 << k) - 1, (1 << (k + 1)) - 1)
         assert all(len(t.addresses[i]) == k for i in block)
     # lexicographic within each level
-    level2 = [t.addresses[i] for i in t.level_range(2)]
+    level2 = [t.addresses[i] for i in range(3, 7)]
     assert level2 == sorted(level2)
 
 
@@ -83,10 +40,6 @@ def test_parent_index_consistency():
         if v == ROOT:
             assert t.parent_index[i] == -1
         else:
-            assert t.addresses[t.parent_index[i]] == parent(v)
+            assert t.parent_index[i] == (i - 1) // 2
+            assert t.addresses[t.parent_index[i]] == v[:-1]
 
-
-def test_index_of_rejects_deep_vertex():
-    t = truncated_tree(2)
-    with pytest.raises(ValueError, match="below depth"):
-        t.index_of("0101")

@@ -34,7 +34,7 @@ def chirality(bundle):
 
 def basis_vector(t, v):
     e = np.zeros(t.size, dtype=complex)
-    e[t.index_of(v)] = 1.0
+    e[t.addresses.index(v)] = 1.0
     return e
 
 
@@ -57,13 +57,13 @@ def test_shift_gram_is_two_above_leaves():
     t = truncated_tree(4)
     s = shift_matrix(t)
     gram = s.conj().T @ s
-    inner = t.level_range(t.depth - 1).stop  # all vertices of depth <= d-1
+    inner = (1 << t.depth) - 1  # all vertices of depth <= d-1
     assert np.allclose(gram[:inner, :inner], 2.0 * np.eye(inner), atol=1e-14)
 
 
 def test_isometry_and_defect_structure(ops6):
     t, isometry, defect = ops6.tree, ops6.isometry, ops6.defect
-    inner = t.level_range(t.depth - 1).stop
+    inner = (1 << t.depth) - 1
     gram = isometry.conj().T @ isometry
     assert np.allclose(gram[:inner, :inner], np.eye(inner), atol=1e-14)
     # defect fixes the root

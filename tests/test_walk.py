@@ -32,6 +32,11 @@ def test_coeff_rejects_degenerate_a():
 def test_walkspec_validates_partition():
     with pytest.raises(ValidationError, match="prefix code"):
         WalkSpec.make(0.0, 1.0, [("0", sphere_coeff(0.5))])
+    # a repeated prefix with distinct coefficients must not reach a
+    # comparison of the coefficients
+    with pytest.raises(ValidationError, match="prefix code"):
+        WalkSpec.make(0.0, 1.0, [("0", sphere_coeff(0.5)), ("0", sphere_coeff(0.2)),
+                                 ("1", sphere_coeff(0.2))])
 
 
 def test_walkspec_normalizes_pq():
