@@ -2,10 +2,14 @@
 indices, Falk pairings, and parameter sweeps.
 
 Exit codes: 0 success, 2 symbol-singular (or an inconclusive lattice index),
-3 invalid input (also input whose arrays would not fit in the available
-memory, refused before any work), 4 identity-residual breach.  Reports are
-JSON, grids are CSV; every command is deterministic for a fixed configuration
-and seed.
+3 invalid input (also a non-finite coin or chirality value, and input whose
+arrays would not fit in the available memory, both refused before any work),
+4 identity-residual breach.  Symbol-singular follows one policy
+(``symbol.SymbolSingularError``): a point with ||a| - |p|| at most 1e-9 is on
+the locus, and a quadrature winding more than 1e-6 from the residue winding
+is unresolved; ``winding`` and ``sweep`` report either as status
+``singular``, ``index`` exits 2 naming the cell.  Reports are JSON, grids are
+CSV; every command is deterministic for a fixed configuration and seed.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from .cantor import Cylinder, ProductMeasure
 from .index import s_index_exact, s_index_montecarlo
 from .onedim import InconclusiveIndexError, build_line, fredholm_index
 from .symbol import (FALK_MIN_TRUNC, QUADRATURE_MIN_SAMPLES, SymbolLoop,
-                     SymbolSingularError, falk_cylinder_pairing, falk_pairing,
-                     loop_min, poles, solve_w0, winding_quadrature,
+                     SymbolSingularError, agreed_windings, falk_cylinder_pairing,
+                     falk_pairing, loop_min, poles, solve_w0, winding_quadrature,
                      winding_residues)
 from .tree import MAX_DEPTH
 from .treeop import IDENTITY_NAMES, build_bundle, check_identities
@@ -40,7 +44,7 @@ STATUS = "/proc/self/status"
 BASE_BYTES = 64e6    # interpreter, numpy and BLAS before the first dense array
 # peaks per unit of the 1-D inputs, measured with tracemalloc at 1e5-4e6 units
 # and rounded up: 72 B per circle sample (winding, sweep), 24 B per Monte Carlo
-# sample, 650 B per sweep row and 32 B per range-grid value
+# sample, 710 B per sweep row (with its loop) and 32 B per range-grid value
 CIRCLE_SAMPLE_BYTES = 80
 MC_SAMPLE_BYTES = 32
 ROW_BYTES = 800
@@ -168,33 +172,38 @@ def cmd_check(args) -> int:
     return EXIT_RESIDUAL if worst_over else EXIT_OK
 
 
-def _loop_from_args(args) -> SymbolLoop:
-    a = args.a
-    if abs(a) >= 1:
-        raise ValidationError(f"|a| must be below 1, got {a}")
-    b = math.sqrt(1.0 - a * a) * complex(math.cos(args.b_phase), math.sin(args.b_phase))
-    if args.q_re is None and args.q_im is None:
-        q = complex(math.sqrt(max(1.0 - args.p ** 2, 0.0)), 0.0)
-    else:
-        q = complex(args.q_re or 0.0, args.q_im or 0.0)
+def _loop(a: float, p: float, q: complex | None = None, b_phase: float = 0.0) -> SymbolLoop:
+    """The loop with b = sqrt(1 - a^2) e^{i b_phase}, and q = sqrt(1 - p^2)
+    unless given; a non-finite value, |a| >= 1 or (p, q) off the sphere is
+    invalid input."""
     try:
-        return SymbolLoop(a=a, b=b, p=args.p, q=q)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+        if q is None:
+            q = complex(math.sqrt(max(1.0 - p ** 2, 0.0)), 0.0)
+        b = math.sqrt(max(1.0 - a * a, 0.0)) * complex(math.cos(b_phase), math.sin(b_phase))
+        return SymbolLoop(a=a, b=b, p=p, q=q)
+    except (ValueError, OverflowError) as exc:
+        raise ValidationError(f"a = {a!r}, p = {p!r}, b phase {b_phase!r}: {exc}") from None
+
+
+def _windings(s: SymbolLoop, samples: int) -> tuple[int, float]:
+    return agreed_windings(winding_residues(s), winding_quadrature(s, samples))
 
 
 def cmd_winding(args) -> int:
     _at_least("--samples", args.samples, QUADRATURE_MIN_SAMPLES)
     _preflight(f"--samples {args.samples}", CIRCLE_SAMPLE_BYTES * args.samples)
-    s = _loop_from_args(args)
+    q = (None if args.q_re is None and args.q_im is None
+         else complex(args.q_re or 0.0, args.q_im or 0.0))
+    s = _loop(args.a, args.p, q, args.b_phase)
     min_abs, witness = loop_min(s, args.samples)
     doc: dict = {
         "a": s.a, "p": s.p,
         "q": {"re": s.q.real, "im": s.q.imag},
         "min_abs_loop": min_abs,
     }
-    singular = abs(s.a) == abs(s.p)
-    if singular:
+    try:
+        doc["winding_residues"], doc["winding_quadrature"] = _windings(s, args.samples)
+    except SymbolSingularError:
         doc["status"] = "singular"
         doc["witness"] = {"re": witness.real, "im": witness.imag}
         if s.a != 0 and s.q != 0:
@@ -202,8 +211,6 @@ def cmd_winding(args) -> int:
             doc["w0"] = {"re": w0.real, "im": w0.imag, "abs": abs(w0)}
     else:
         doc["status"] = "ok"
-        doc["winding_quadrature"] = winding_quadrature(s, args.samples)
-        doc["winding_residues"] = winding_residues(s)
         if s.q != 0:
             data = poles(s)
             doc["poles"] = {
@@ -211,7 +218,7 @@ def cmd_winding(args) -> int:
                 "beta": {"re": data.beta.real, "im": data.beta.imag, "abs": abs(data.beta)},
             }
     _write_out(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
-    return EXIT_SINGULAR if singular else EXIT_OK
+    return EXIT_SINGULAR if doc["status"] == "singular" else EXIT_OK
 
 
 def cmd_index(args) -> int:
@@ -269,23 +276,19 @@ def cmd_sweep(args) -> int:
     # are live at a time
     _preflight(f"{len(p_grid)} x {len(a_grid)} grid points at --samples {args.samples}",
                ROW_BYTES * len(p_grid) * len(a_grid) + CIRCLE_SAMPLE_BYTES * args.samples)
-    points = [(p, a) for p in p_grid for a in a_grid]
-    for _, a in points:
-        if abs(a) >= 1:
-            raise ValidationError(f"grid value |a| = {abs(a)} not below 1")
+    loops = [_loop(a, p, math.sqrt(max(1.0 - p * p, 0.0))) for p in p_grid for a in a_grid]
 
-    def row(p, a):
-        q = math.sqrt(max(1.0 - p * p, 0.0))
-        s = SymbolLoop(a=a, b=math.sqrt(1.0 - a * a), p=p, q=q)
+    def row(s):
         min_abs, _ = loop_min(s, args.samples)
-        # grid arithmetic can land within float noise of the singular locus
-        # |a| = |p|; such rows are flagged, never emitted as data
-        if abs(abs(a) - abs(p)) < 1e-9:
-            return [repr(p), repr(a), "", "", repr(min_abs), "singular"]
-        return [repr(p), repr(a), winding_residues(s),
-                repr(winding_quadrature(s, args.samples)), repr(min_abs), "ok"]
+        # a point on the locus (grid arithmetic can land within float noise of
+        # |a| = |p|) or with unresolved windings is flagged, never emitted as data
+        try:
+            residue, quadrature = _windings(s, args.samples)
+        except SymbolSingularError:
+            return [repr(s.p), repr(s.a), "", "", repr(min_abs), "singular"]
+        return [repr(s.p), repr(s.a), residue, repr(quadrature), repr(min_abs), "ok"]
 
-    rows = [row(p, a) for p, a in points]
+    rows = [row(s) for s in loops]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["p", "a", "winding_residues", "winding_quadrature",
@@ -304,8 +307,6 @@ def build_parser() -> _Parser:
     p_check.add_argument("--walk", required=True, help="tree walk JSON file")
     p_check.add_argument("--depth", type=int, default=8)
     p_check.add_argument("--tol", type=float, default=1e-10)
-    p_check.add_argument("--out")
-    p_check.set_defaults(func=cmd_check)
 
     p_wind = sub.add_parser("winding", help="winding of one boundary loop (JSON)")
     p_wind.add_argument("--a", type=float, required=True)
@@ -314,8 +315,6 @@ def build_parser() -> _Parser:
     p_wind.add_argument("--q-im", type=float, default=None)
     p_wind.add_argument("--b-phase", type=float, default=0.0)
     p_wind.add_argument("--samples", type=int, default=4096)
-    p_wind.add_argument("--out")
-    p_wind.set_defaults(func=cmd_winding)
 
     p_index = sub.add_parser("index", help="measure-paired index report (JSON)")
     p_index.add_argument("--walk", required=True)
@@ -323,32 +322,28 @@ def build_parser() -> _Parser:
     p_index.add_argument("--mode", choices=["exact", "mc"], default="exact")
     p_index.add_argument("--samples", type=int, default=4000)
     p_index.add_argument("--seed", type=int, default=0)
-    p_index.add_argument("--out")
-    p_index.set_defaults(func=cmd_index)
 
     p_line = sub.add_parser("onedim", help="lattice Fredholm index (JSON)")
     p_line.add_argument("--walk", required=True, help="line walk JSON file")
     p_line.add_argument("--halfwidth", type=int, default=300,
                         help="middle sites must lie in |n| <= N/2; the count never depends on N")
     p_line.add_argument("--tol", type=float, default=1e-8)
-    p_line.add_argument("--out")
-    p_line.set_defaults(func=cmd_onedim)
 
     p_falk = sub.add_parser("falk", help="Falk trace pairing (JSON)")
     p_falk.add_argument("--f-value", type=int, choices=[0, 1], default=None)
     p_falk.add_argument("--cylinder", default=None, help="aggregate over this cylinder prefix")
     p_falk.add_argument("--measure", default="uniform")
     p_falk.add_argument("--trunc", type=int, default=200)
-    p_falk.add_argument("--out")
-    p_falk.set_defaults(func=cmd_falk)
 
     p_sweep = sub.add_parser("sweep", help="winding phase diagram over (p, a) (CSV)")
     p_sweep.add_argument("--p-grid", default="0,0.25,0.5,0.75")
     p_sweep.add_argument("--a-grid", default="-0.95:0.95:0.05")
     p_sweep.add_argument("--samples", type=int, default=4096)
-    p_sweep.add_argument("--out")
-    p_sweep.set_defaults(func=cmd_sweep)
 
+    for p, func in ((p_check, cmd_check), (p_wind, cmd_winding), (p_index, cmd_index),
+                    (p_line, cmd_onedim), (p_falk, cmd_falk), (p_sweep, cmd_sweep)):
+        p.add_argument("--out")
+        p.set_defaults(func=func)
     # accepted and ignored: perfbench/workloads.py still passes --workers 1
     for p in (p_index, p_sweep):
         p.add_argument("--workers", type=int, help=argparse.SUPPRESS)
@@ -365,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except SymbolSingularError as exc:
-        cell = f" (cell {exc.cell!r})" if exc.cell else ""
+        cell = f" (cell {exc.cell!r})" if exc.cell is not None else ""
         print(f"symbol singular: {exc}{cell}", file=sys.stderr)
         return EXIT_SINGULAR
     except InconclusiveIndexError as exc:

@@ -4,8 +4,9 @@ The numerical secondary index of a walk pairs the winding number of its
 boundary loop with a product measure on the Cantor boundary: summed exactly
 cell by cell (dyadic arithmetic under the uniform measure), or estimated by
 seeded Monte Carlo sampling of boundary points.  Both routes require every
-cell to carry an invertible loop (|a| != |p|); a degenerate cell aborts the
-whole computation by name, since the index theorem's hypothesis is global.
+cell to carry an invertible loop (``symbol.check_off_locus``); a degenerate
+cell aborts the whole computation by name, since the index theorem's
+hypothesis is global.
 """
 
 from __future__ import annotations
@@ -16,15 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cantor import Cylinder, Dyadic, ProductMeasure, cylinder_measure
-from .symbol import SymbolLoop, SymbolSingularError, winding_quadrature, winding_residues
+from .symbol import (SymbolLoop, agreed_windings, check_off_locus, winding_quadrature,
+                     winding_residues)
 from .walk import SphereCoeff, WalkSpec
 
 
 def classify_point(a: float, p: float) -> int:
     """Winding class of a boundary point: +1 for a > |p|, 0 for |a| < |p|,
     -1 for a < -|p|.  The boundary |a| = |p| is degenerate."""
-    if abs(a) == abs(p):
-        raise SymbolSingularError(f"degenerate point: |a| = |p| = {abs(a)}")
+    check_off_locus(a, p)
     if a > abs(p):
         return 1
     if a < -abs(p):
@@ -75,23 +76,14 @@ class IndexReport:
 
 
 def _checked_cell_windings(w: WalkSpec):
-    def one(prefix, coeff):
-        try:
-            return prefix, coeff, winding_residues(loop_for_cell(w, coeff))
-        except SymbolSingularError:
-            raise SymbolSingularError(
-                f"cell {prefix!r} is degenerate: |a| = |p| = {abs(coeff.a)}",
-                cell=prefix) from None
-
-    return [one(prefix, coeff) for prefix, coeff in w.cells]
+    return [(prefix, coeff, winding_residues(loop_for_cell(w, coeff), cell=prefix))
+            for prefix, coeff in w.cells]
 
 
-def _classification_counts(windings) -> dict:
-    return {
-        "plus": sum(1 for v in windings if v == 1),
-        "zero": sum(1 for v in windings if v == 0),
-        "minus": sum(1 for v in windings if v == -1),
-    }
+def _classification_counts(windings, weights) -> dict:
+    """Sum of the integer ``weights`` (cell or sample counts) of each winding."""
+    return {name: sum(n for v, n in zip(windings, weights) if v == value)
+            for name, value in (("plus", 1), ("zero", 0), ("minus", -1))}
 
 
 def s_index_exact(w: WalkSpec, m: ProductMeasure) -> IndexReport:
@@ -118,7 +110,8 @@ def s_index_exact(w: WalkSpec, m: ProductMeasure) -> IndexReport:
         numeric=numeric,
         exact=exact,
         per_cell=tuple(per_cell),
-        classification_counts=_classification_counts([c.winding for c in per_cell]),
+        classification_counts=_classification_counts([c.winding for c in per_cell],
+                                                     [1] * len(per_cell)),
     )
 
 
@@ -224,27 +217,18 @@ def s_index_montecarlo(w: WalkSpec, m: ProductMeasure, samples: int,
     Each point draws only enough coordinates to land in a cell of the walk;
     the bit stream is decoded in vectorized blocks (see ``_sample_cells``)
     and gives the same cells as drawing one bit per ``rng.random()`` call.
-    Each sampled point contributes the winding of its cell's loop computed by
-    phase-unwrap quadrature and rounded to the nearest integer (the raw value
-    is checked to sit within 1e-6 of it), so the estimator is an exact
-    average of integers.  Deterministic for a fixed seed: the per-cell
-    quadratures are precomputed and the bit stream is a single sequential
-    generator.
+    Each sampled point contributes the winding of its cell's loop, which the
+    phase-unwrap quadrature must confirm (``agreed_windings``), so the
+    estimator is an exact average of integers.  Deterministic for a fixed
+    seed: the per-cell windings are precomputed and the bit stream is a
+    single sequential generator.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     checked = _checked_cell_windings(w)
-
-    def quadrature(prefix, coeff):
-        raw = winding_quadrature(loop_for_cell(w, coeff))
-        rounded = int(round(raw))
-        if abs(raw - rounded) > 1e-6:
-            raise SymbolSingularError(
-                f"quadrature winding {raw} for cell {prefix!r} is not close to an integer",
-                cell=prefix)
-        return rounded
-
-    windings = [quadrature(prefix, coeff) for prefix, coeff, _ in checked]
+    windings = [agreed_windings(residue, winding_quadrature(loop_for_cell(w, coeff)),
+                                cell=prefix)[0]
+                for prefix, coeff, residue in checked]
     prefixes = [prefix for prefix, _, _ in checked]
     sampled = _sample_cells(prefixes, m, samples, np.random.default_rng(seed))
     hits = np.bincount(sampled, minlength=len(prefixes)).tolist()
@@ -254,17 +238,12 @@ def s_index_montecarlo(w: WalkSpec, m: ProductMeasure, samples: int,
     stderr = float(values.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     per_cell = tuple(CellWinding(prefix, winding, count / samples)
                      for prefix, winding, count in zip(prefixes, windings, hits))
-    sampled_counts = {
-        "plus": int(np.count_nonzero(values == 1)),
-        "zero": int(np.count_nonzero(values == 0)),
-        "minus": int(np.count_nonzero(values == -1)),
-    }
     return IndexReport(
         mode="mc",
         numeric=mean,
         exact=None,
         per_cell=per_cell,
-        classification_counts=sampled_counts,
+        classification_counts=_classification_counts(windings, hits),
         mc_stderr=stderr,
         samples=samples,
         seed=seed,

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .index import classify_point
+from .symbol import on_locus
 from .walk import LineWalkSpec, line_coeff
 
 CRITICAL = 1.0 / math.sqrt(2.0)
@@ -166,7 +167,7 @@ def fredholm_index(bundle: LineBundle, tol: float = 1e-8) -> LineIndexResult:
     """
     spec = bundle.spec
     for side, value in (("left", spec.left.a), ("right", spec.right.a)):
-        if abs(abs(value) - CRITICAL) < TAIL_GAP:
+        if on_locus(value, CRITICAL, TAIL_GAP):
             raise ValueError(
                 f"{side} tail |a| = {abs(value):.4f} within {TAIL_GAP} of 1/sqrt(2); "
                 "the chirality block is not Fredholm there")

@@ -9,6 +9,7 @@ come with a JSON file format that round-trips exactly.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -25,6 +26,8 @@ class ValidationError(ValueError):
 
 
 def _normalize_pair(x: float, z: complex, what: str, tol: float = SPHERE_TOL):
+    if not (math.isfinite(x) and cmath.isfinite(z)):
+        raise ValidationError(f"{what} = ({x}, {z}) is not finite")
     norm = math.sqrt(x * x + abs(z) ** 2)
     if abs(norm - 1.0) > tol:
         raise ValidationError(f"{what} = ({x}, {z}) is not on the unit sphere "

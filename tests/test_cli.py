@@ -146,6 +146,29 @@ def test_winding_singular_exit(capsys):
     doc = json.loads(out)
     assert doc["status"] == "singular"
     assert doc["w0"]["abs"] == pytest.approx(1.0, abs=1e-10)
+    # within the 1e-9 band of the locus
+    code, out, _ = run(capsys, "winding", "--a", "0.5", "--p", "0.5000000000001")
+    assert code == 2
+    assert json.loads(out)["status"] == "singular"
+
+
+# one cell at margin 1e-8 from the locus: its residue class is right, but 4096
+# circle samples miss the turn, so the quadrature reads 0 instead of 1
+NEAR_A, NEAR_P, NEAR_Q = 0.50000001, 0.5, complex(0.6623727640744224, 0.5579088827150985)
+
+
+def test_near_locus_cell_is_singular_where_the_routes_disagree(capsys, tmp_path):
+    path = tmp_path / "near.json"
+    path.write_text(walk_to_json(WalkSpec.make(NEAR_P, NEAR_Q, [("", sphere_coeff(NEAR_A, 1.0))])))
+    # the exact pairing runs no quadrature
+    code, out, _ = run(capsys, "index", "--walk", str(path), "--mode", "exact")
+    assert code == 0 and json.loads(out)["numeric"] == 1.0
+    code, out, err = run(capsys, "index", "--walk", str(path), "--mode", "mc")
+    assert (code, out) == (2, "")
+    assert "(cell '')" in err
+    code, out, _ = run(capsys, "winding", f"--a={NEAR_A!r}", f"--p={NEAR_P!r}",
+                       f"--q-re={NEAR_Q.real!r}", f"--q-im={NEAR_Q.imag!r}", "--b-phase=1.0")
+    assert code == 2 and json.loads(out)["status"] == "singular"
 
 
 def test_onedim_command(capsys, line_file):
@@ -242,6 +265,13 @@ def meminfo(tmp_path, monkeypatch):
     ["sweep", "--samples", "0", "--p-grid", "0", "--a-grid", "0.5"],
     ["sweep", "--p-grid", "0,x"],
     ["sweep", "--p-grid", "0", "--a-grid", "0:1:1e-320"],
+    ["winding", "--a", "nan"],
+    ["winding", "--a", "0.5", "--p", "nan"],
+    ["winding", "--a", "0.5", "--q-re", "nan"],
+    ["winding", "--a", "0.5", "--b-phase", "inf"],
+    ["sweep", "--p-grid", "nan", "--a-grid", "0.5"],
+    ["sweep", "--p-grid", "0.5", "--a-grid", "nan"],
+    ["sweep", "--p-grid", "2", "--a-grid", "0.5"],
     ["check", "--depth", "0"],
     ["check", "--depth", "21"],
     ["onedim", "--halfwidth", "1"],
@@ -258,6 +288,30 @@ def test_invalid_arguments_exit_3_before_work(capsys, meminfo, walk_file, line_f
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("field,argv", [
+    ("a", ["index", "--mode", "exact"]), ("p", ["index", "--mode", "exact"]),
+    ("a", ["index", "--mode", "mc"]), ("p", ["index", "--mode", "mc"]),
+    ("a", ["check"]), ("p", ["check"]),
+    ("left", ["onedim"]),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_non_finite_walk_file_exits_3_before_work(capsys, tmp_path, walk_file, line_file,
+                                                  field, argv):
+    # a NaN in a tree walk's first cell a or its p, or in a line walk's left tail
+    doc = json.loads(Path(line_file if field == "left" else walk_file).read_text())
+    if field == "a":
+        doc["cells"][0]["a"] = float("nan")
+    elif field == "p":
+        doc["p"] = float("nan")
+    else:
+        doc["left"]["a"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, "--walk", str(path))
     assert code == 3
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -29,6 +29,11 @@ def test_classify_point():
         classify_point(0.5, 0.5)
     with pytest.raises(SymbolSingularError):
         classify_point(-0.5, 0.5)
+    with pytest.raises(SymbolSingularError):
+        classify_point(0.5, 0.5 + 1e-12)
+    # a NaN margin is on the locus, never classified
+    with pytest.raises(SymbolSingularError):
+        classify_point(float("nan"), 0.5)
 
 
 def test_exact_constant_walk():

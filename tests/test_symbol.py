@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chiralwalk.cantor import Cylinder, ProductMeasure, cylinder_measure
-from chiralwalk.symbol import (SymbolLoop, SymbolSingularError,
+from chiralwalk.symbol import (ROUTE_TOL, SymbolLoop, SymbolSingularError, agreed_windings,
                                falk_cylinder_pairing, falk_pairing,
                                half_line_operator, kernel_recursion, loop_min, poles,
                                residue_numeric, solve_w0, unilateral_shift,
@@ -124,6 +124,34 @@ def test_winding_singular_loop_raises():
         winding_quadrature(loop(0.5, 0.5))
     with pytest.raises(SymbolSingularError):
         winding_residues(loop(0.5, 0.5))
+    # inside the 1e-9 band around the locus, too near to tell
+    with pytest.raises(SymbolSingularError):
+        winding_quadrature(loop(0.5, 0.5 + 1e-12))
+    with pytest.raises(SymbolSingularError):
+        winding_residues(loop(0.5, 0.5 + 1e-12))
+
+
+@pytest.mark.parametrize("samples", [64, 4096])
+def test_route_rule_never_returns_disagreeing_windings(samples):
+    # near the locus the quadrature misses the turn with too few samples;
+    # the shared rule must then raise, never hand back the two routes apart
+    rng = np.random.default_rng(samples)
+    returned = raised = 0
+    for k in range(1, 14):
+        for _ in range(8):
+            p = float(rng.uniform(-0.9, 0.9))
+            a = float(rng.choice([1.0, -1.0]) * abs(p) + rng.choice([1.0, -1.0]) * 10.0 ** -k)
+            s = loop(a, p, b_phase=rng.uniform(0, 2 * np.pi), q_phase=rng.uniform(0, 2 * np.pi))
+            try:
+                residue, quadrature = agreed_windings(winding_residues(s),
+                                                      winding_quadrature(s, samples))
+            except SymbolSingularError:
+                raised += 1
+                continue
+            returned += 1
+            assert abs(quadrature - residue) <= ROUTE_TOL, (a, p)
+            assert residue == (1 if a > abs(p) else (-1 if a < -abs(p) else 0)), (a, p)
+    assert returned and raised
 
 
 def test_winding_constant_loop_q_zero():
