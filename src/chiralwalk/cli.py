@@ -76,6 +76,11 @@ def _at_least(flag: str, value: int, low: int) -> None:
         raise ValidationError(f"{flag} must be at least {low}, got {value}")
 
 
+def _positive(flag: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{flag} must be finite and positive, got {value!r}")
+
+
 def _proc_bytes(path: str, key: str) -> int | None:
     """The ``key:`` field of a /proc file, given in kB, in bytes, or None
     where it cannot be read."""
@@ -150,12 +155,14 @@ def _parse_grid(flag: str, text: str) -> list[float]:
 
 
 def cmd_check(args) -> int:
+    _positive("--tol", args.tol)
     # the identities are checked two layers in from the truncation depth
     if not 2 <= args.depth <= MAX_DEPTH:
         raise ValidationError(f"--depth must lie in [2, {MAX_DEPTH}], got {args.depth}")
-    # a depth-10 check peaks near 11.8 n x n arrays (the bundle's L, E and
-    # two 2n x 2n ones, plus transients); 13 keeps a margin
-    _preflight(f"--depth {args.depth}", 13 * 16.0 * (2 ** (args.depth + 1) - 1) ** 2)
+    # a check at depths 8-11 peaks near 4.7 n x n arrays (the bundle's L and
+    # E, the 2m x 2n symmetry strip with m ~ n / 4, plus transients); 5.2
+    # keeps a margin
+    _preflight(f"--depth {args.depth}", 5.2 * 16.0 * (2 ** (args.depth + 1) - 1) ** 2)
     w = parse_walk(_read_text(args.walk))
     bundle = build_bundle(w, args.depth)
     residuals = check_identities(bundle)
@@ -239,6 +246,7 @@ def cmd_index(args) -> int:
 def cmd_onedim(args) -> int:
     # the transfer count reads only the middle sites and three sites of each
     # tail, so its memory grows with the input file, never with --halfwidth
+    _positive("--tol", args.tol)
     spec = parse_line_walk(_read_text(args.walk))
     try:
         bundle = build_line(spec, args.halfwidth)

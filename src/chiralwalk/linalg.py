@@ -1,9 +1,8 @@
-"""Dense complex-matrix helpers and the block kernel for coin-type operators.
+"""The block kernel for coin-type operators.
 
 Matrices are plain 2-D ``numpy.ndarray`` values of dtype ``complex128`` in
 row-major order.  Everything here is a pure function of its inputs and
-deterministic for a fixed input: products go through BLAS with a fixed
-summation schedule.
+deterministic for a fixed input.
 
 A coin-type operator on H (+) H has the form [[D11, D12], [D21, D22]] with
 every block a diagonal matrix, and it is represented only by its four
@@ -16,23 +15,6 @@ entry is the same 2-term sum) at O(n^2) cost instead of O(n^3).
 from __future__ import annotations
 
 import numpy as np
-
-
-def as_matrix(values) -> np.ndarray:
-    """Coerce to a 2-D complex128 array, validating the shape."""
-    m = np.asarray(values, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    return m
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 def mul_diag_block_left(d, x: np.ndarray) -> np.ndarray:

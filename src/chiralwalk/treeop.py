@@ -13,9 +13,10 @@ Coin-type operators (C and the conjugator) are 2x2 block matrices with
 diagonal blocks and exist only as their four diagonal blocks: products among
 them are blockwise, and products with dense operators are exact row and
 column scaling (see chiralwalk.linalg), so no dense coin is ever formed.  The
-defect projection is written down in closed form, and the walk unitary
-U = (symmetry)(coin) is never formed either: its skew part is assembled tile
-by tile from the symmetry and the coin blocks.
+defect projection is written down in closed form.  The operator bundle holds
+the symmetry only as its interior rows and the skew part U - U* only as its
+interior block, which is all the identity checks read; the walk unitary
+U = (symmetry)(coin) is never formed.
 """
 
 from __future__ import annotations
@@ -25,13 +26,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy import matmul
 
-from .linalg import (diag_block_product, matmul, mul_diag_block_left,
-                     mul_diag_block_right)
+from .linalg import diag_block_product, mul_diag_block_left, mul_diag_block_right
 from .tree import TruncatedTree, truncated_tree
 from .walk import WalkSpec, eval_vertex
-
-SKEW_TILE = 128     # rows and columns per tile of the skew part
 
 
 class TreeOperators(NamedTuple):
@@ -102,57 +101,29 @@ def _dagger_blocks(d):
 
 def shift_symmetry(isometry: np.ndarray, defect: np.ndarray,
                    p: float, q: complex) -> np.ndarray:
-    """The involution [[p, conj(q) L*], [q L, (1 + p) E - p]].
+    """The interior rows of the involution [[p, conj(q) L*], [q L, (1 + p) E - p]].
 
     The lower right block must square to |q|^2 E + p^2 against |q|^2 L L*,
     which forces the coefficient 1 + p on the defect; with it the square is
     the identity wherever L*L = 1 holds (all of the interior).  At p = 0 this
     reduces to [[0, L*], [L, E]], and on a lattice without defect (E = 0) to
     the familiar [[p, conj(q) L*], [q L, -p]].
+
+    Only the 2m x 2n strip of rows ``inner`` and ``n + inner`` is formed,
+    where ``inner`` is the first m = 2^(d-1) - 1 vertices in breadth-first
+    order (depth <= d - 2); its entries are those of the full involution.
     """
     if abs(p * p + abs(q) ** 2 - 1.0) > 1e-12:
         raise ValueError(f"(p, q) = ({p}, {q}) not on the unit sphere")
     n = isometry.shape[0]
-    out = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    idx = np.arange(n)
+    m = (n + 1) // 4 - 1
+    out = np.zeros((2 * m, 2 * n), dtype=np.complex128)
+    idx = np.arange(m)
     out[idx, idx] = p
-    out[:n, n:] = np.conj(q) * isometry.conj().T
-    out[n:, :n] = q * isometry
-    out[n:, n:] = (1.0 + p) * defect
-    out[n + idx, n + idx] -= p
-    return out
-
-
-def skew_part(symmetry: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Q = U - U* for the walk unitary U = (symmetry)(coin), tile by tile.
-
-    Each entry of U is the two-term sum ``mul_diag_block_right`` forms, and
-    each entry of Q the one subtraction U[i, j] - conj(U[j, i]), so Q is bit
-    for bit the dense difference, while only two tiles of U are ever held.
-    Tiles never straddle column n, where the coin's block columns meet.
-    """
-    d11, d12, d21, d22 = coin_blocks(a, b)
-    n = len(a)
-    edges = [*range(0, n, SKEW_TILE), *range(n, 2 * n, SKEW_TILE), 2 * n]
-    tiles = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-
-    def u_tile(rows: slice, cols: slice) -> np.ndarray:
-        g = symmetry[rows]
-        if cols.start < n:
-            k = slice(cols.start + n, cols.stop + n)
-            return g[:, cols] * d11[cols] + g[:, k] * d21[cols]
-        k = slice(cols.start - n, cols.stop - n)
-        return g[:, k] * d12[k] + g[:, cols] * d22[k]
-
-    out = np.empty_like(symmetry)
-    for i, rows in enumerate(tiles):
-        upper = u_tile(rows, rows)
-        out[rows, rows] = upper - upper.conj().T
-        for cols in tiles[i + 1:]:
-            upper = u_tile(rows, cols)
-            lower = u_tile(cols, rows)
-            out[rows, cols] = upper - lower.conj().T
-            out[cols, rows] = lower - upper.conj().T
+    out[:m, n:] = np.conj(q) * isometry[:, :m].conj().T
+    out[m:, :n] = q * isometry[:m]
+    out[m:, n:] = (1.0 + p) * defect[:m]
+    out[m + idx, n + idx] -= p
     return out
 
 
@@ -177,21 +148,16 @@ def chirality_direct(p: float, q: complex, a: np.ndarray, b: np.ndarray,
 
 
 def conjugated_skew(skew: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The skew part conjugated into the coin eigenbasis: eps* Q eps."""
+    """The skew part conjugated into the coin eigenbasis: eps* Q eps.  Its
+    lower-left block is the chirality operator."""
     eps = conjugator_blocks(a, b)
     return mul_diag_block_left(_dagger_blocks(eps), mul_diag_block_right(skew, eps))
 
 
-def chirality_conjugated(skew: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Lower-left block of eps* Q eps: the chirality operator."""
-    n = len(a)
-    return conjugated_skew(skew, a, b)[n:, :n]
-
-
-def interior_mask(t: TruncatedTree, margin: int = 2) -> np.ndarray:
-    """Boolean mask selecting vertices of depth <= d - margin."""
-    cutoff = t.depth - margin
-    return np.array([len(v) <= cutoff for v in t.addresses])
+def interior_mask(t: TruncatedTree) -> np.ndarray:
+    """Boolean mask selecting vertices of depth <= d - 2: in breadth-first
+    order, the first m = 2^(d-1) - 1 of the n = 2^(d+1) - 1."""
+    return np.arange(t.size) < (t.size + 1) // 4 - 1
 
 
 @dataclass
@@ -199,9 +165,11 @@ class OperatorBundle:
     """The operators ``check_identities`` and ``route_disagreement`` read.
 
     The coin is kept only as its per-vertex data ``a`` and ``b``; its blocks
-    and the conjugator's are formed from them where needed.  ``symmetry`` and
-    ``skew = U - U*`` are dense 2n x 2n, ``isometry`` and ``defect`` n x n; the
-    defect is closed-form, and the walk unitary U is never formed.
+    and the conjugator's are formed from them where needed.  ``isometry`` and
+    ``defect`` are the n x n tree operators (the defect in closed form).  With
+    m the number of ``interior`` vertices, ``symmetry`` is the 2m x 2n strip
+    of the symmetry's interior rows and ``skew`` the 2m x 2m interior block of
+    U - U*; no 2n x 2n array and no walk unitary U is formed.
     """
 
     tree: TruncatedTree
@@ -220,9 +188,10 @@ def build_bundle(w: WalkSpec, depth: int, rule: str = "leftmost",
     """Construct the operator bundle at a truncation depth.
 
     Pass a precomputed ``ops`` to share the walk-independent tree operators
-    across several walks at the same depth.  No dense walk unitary
-    U = (symmetry)(coin) or U* is formed: ``skew_part`` builds U - U* from
-    the symmetry and the coin blocks, two tiles at a time.
+    across several walks at the same depth.  The coin couples each vertex
+    only to itself, so the interior block of U = (symmetry)(coin) is the
+    symmetry's interior block times the interior coin, and its skew part the
+    interior block of U - U*, entry for entry.
     """
     if ops is None:
         ops = tree_operators(truncated_tree(depth))
@@ -231,9 +200,11 @@ def build_bundle(w: WalkSpec, depth: int, rule: str = "leftmost",
     t = ops.tree
     a, b = coin_values(w, t, rule)
     symmetry = shift_symmetry(ops.isometry, ops.defect, w.p, w.q)
-    skew = skew_part(symmetry, a, b)
+    m = len(symmetry) // 2
+    u = mul_diag_block_right(symmetry[:, np.r_[:m, t.size:t.size + m]],
+                             coin_blocks(a[:m], b[:m]))
     return OperatorBundle(tree=t, walk=w, isometry=ops.isometry, defect=ops.defect,
-                          a=a, b=b, symmetry=symmetry, skew=skew,
+                          a=a, b=b, symmetry=symmetry, skew=u - u.conj().T,
                           interior=interior_mask(t))
 
 
@@ -264,24 +235,21 @@ def check_identities(bundle: OperatorBundle) -> dict[str, float]:
     defect annihilates the isometry; the coin anticommutes with the skew part;
     and the conjugated skew part has vanishing diagonal blocks.
 
-    Coin-type operators never couple interior to exterior vertices, so their
-    blocks are sliced to the interior first; identities among them are
-    blockwise products.  Only genuinely depth-mixing products (the symmetry
-    square, defect times isometry) contract over the full truncation.
+    Coin-type operators never couple interior to exterior vertices, so they
+    are formed on the interior alone; identities among them are blockwise
+    products.  Only genuinely depth-mixing products (the symmetry square,
+    defect times isometry) contract over the full truncation.
     """
-    n = bundle.tree.size
-    inner = np.flatnonzero(bundle.interior)
-    inner2 = np.concatenate([inner, n + inner])
-    m = len(inner)
-    a, b = bundle.a, bundle.b
-    cblocks = tuple(v[inner] for v in coin_blocks(a, b))
-    eblocks = tuple(v[inner] for v in conjugator_blocks(a, b))
+    m = int(np.count_nonzero(bundle.interior))
+    a, b = bundle.a[:m], bundle.b[:m]
+    cblocks = coin_blocks(a, b)
+    eblocks = conjugator_blocks(a, b)
     edagger = _dagger_blocks(eblocks)
 
     residuals: dict[str, float] = {}
 
     gamma = bundle.symmetry
-    sq = matmul(gamma[inner2, :], gamma[:, inner2])
+    sq = matmul(gamma, gamma.conj().T)
     residuals["symmetry_squared"] = float(np.max(np.abs(sq - np.eye(2 * m))))
 
     residuals["coin_squared"] = _block_residual(diag_block_product(cblocks, cblocks), (1, 1))
@@ -290,15 +258,14 @@ def check_identities(bundle: OperatorBundle) -> dict[str, float]:
     residuals["coin_diagonalized"] = _block_residual(
         diag_block_product(edagger, diag_block_product(cblocks, eblocks)), (1, -1))
 
-    el = matmul(bundle.defect[inner, :], bundle.isometry[:, inner])
+    el = matmul(bundle.defect[:m], bundle.isometry[:, :m])
     residuals["defect_kills_shift"] = float(np.max(np.abs(el)))
 
-    skew_inner = bundle.skew[np.ix_(inner2, inner2)]
-    anti = (mul_diag_block_left(cblocks, skew_inner)
-            + mul_diag_block_right(skew_inner, cblocks))
+    skew = bundle.skew
+    anti = mul_diag_block_left(cblocks, skew) + mul_diag_block_right(skew, cblocks)
     residuals["coin_anticommutes_skew"] = float(np.max(np.abs(anti)))
 
-    conj = mul_diag_block_left(edagger, mul_diag_block_right(skew_inner, eblocks))
+    conj = conjugated_skew(skew, a, b)
     top = np.max(np.abs(conj[:m, :m]))
     bottom = np.max(np.abs(conj[m:, m:]))
     residuals["conjugated_skew_diag_blocks"] = float(max(top, bottom))
@@ -308,8 +275,8 @@ def check_identities(bundle: OperatorBundle) -> dict[str, float]:
 
 def route_disagreement(bundle: OperatorBundle) -> float:
     """Interior max difference between the two chirality constructions."""
-    direct = chirality_direct(bundle.walk.p, bundle.walk.q, bundle.a, bundle.b,
-                              bundle.isometry, bundle.defect)
-    conj = chirality_conjugated(bundle.skew, bundle.a, bundle.b)
-    inner = np.flatnonzero(bundle.interior)
-    return float(np.max(np.abs((direct - conj)[np.ix_(inner, inner)])))
+    m = int(np.count_nonzero(bundle.interior))
+    a, b = bundle.a[:m], bundle.b[:m]
+    direct = chirality_direct(bundle.walk.p, bundle.walk.q, a, b,
+                              bundle.isometry[:m, :m], bundle.defect[:m, :m])
+    return float(np.max(np.abs(direct - conjugated_skew(bundle.skew, a, b)[m:, :m])))

@@ -28,7 +28,11 @@ class ValidationError(ValueError):
 def _normalize_pair(x: float, z: complex, what: str, tol: float = SPHERE_TOL):
     if not (math.isfinite(x) and cmath.isfinite(z)):
         raise ValidationError(f"{what} = ({x}, {z}) is not finite")
-    norm = math.sqrt(x * x + abs(z) ** 2)
+    try:
+        norm = math.sqrt(x * x + abs(z) ** 2)
+    except OverflowError:
+        raise ValidationError(f"{what} = ({x}, {z}) is not on the unit sphere "
+                              "(its norm overflows)") from None
     if abs(norm - 1.0) > tol:
         raise ValidationError(f"{what} = ({x}, {z}) is not on the unit sphere "
                               f"(norm {norm:.9f}, tolerance {tol})")

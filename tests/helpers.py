@@ -1,5 +1,6 @@
-"""Shared generators for randomized walk specs, and the dense lattice route
-that witnesses ``chiralwalk.onedim``."""
+"""Shared generators for randomized walk specs, the dense full-truncation tree
+route that witnesses the interior bundle of ``chiralwalk.treeop``, and the
+dense lattice route that witnesses ``chiralwalk.onedim``."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import numpy as np
 
 from chiralwalk.linalg import mul_diag_block_right
 from chiralwalk.onedim import CRITICAL, TAIL_GAP
+from chiralwalk.treeop import coin_blocks
 from chiralwalk.walk import LineWalkSpec, SphereCoeff, WalkSpec, line_coeff
 
 
@@ -27,6 +29,29 @@ def shift_matrix(t) -> np.ndarray:
         if par >= 0:
             s[child, par] = 1.0
     return s
+
+
+def dense_symmetry(isometry: np.ndarray, defect: np.ndarray, p: float,
+                   q: complex) -> np.ndarray:
+    """The full 2n x 2n involution [[p, conj(q) L*], [q L, (1 + p) E - p]].
+    Oracle for ``treeop.shift_symmetry``, which forms only its interior rows
+    by the same entry expressions."""
+    n = isometry.shape[0]
+    out = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    idx = np.arange(n)
+    out[idx, idx] = p
+    out[:n, n:] = np.conj(q) * isometry.conj().T
+    out[n:, :n] = q * isometry
+    out[n:, n:] = (1.0 + p) * defect
+    out[n + idx, n + idx] -= p
+    return out
+
+
+def dense_skew(symmetry: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """U - U* for the dense walk unitary U = (symmetry)(coin) on the whole
+    truncation.  Oracle for the interior skew part of ``treeop.build_bundle``."""
+    u = mul_diag_block_right(symmetry, coin_blocks(a, b))
+    return u - u.conj().T
 
 
 def random_partition(rng: np.random.Generator, max_level: int, splits: int | None = None):

@@ -275,7 +275,8 @@ def meminfo(tmp_path, monkeypatch):
     ["check", "--depth", "0"],
     ["check", "--depth", "21"],
     ["onedim", "--halfwidth", "1"],
-    # dense arrays from 56 GB upwards, against 6 GB available
+    *([cmd, "--tol", tol] for cmd in ("check", "onedim") for tol in ("nan", "inf", "-1", "0")),
+    # dense arrays from 22 GB upwards, against 6 GB available
     ["check", "--depth", "13"],
     ["falk", "--f-value", "1", "--trunc", "100000"],
 ], ids=" ".join)
@@ -298,17 +299,22 @@ def test_invalid_arguments_exit_3_before_work(capsys, meminfo, walk_file, line_f
     ("a", ["index", "--mode", "mc"]), ("p", ["index", "--mode", "mc"]),
     ("a", ["check"]), ("p", ["check"]),
     ("left", ["onedim"]),
+    ("b", ["index", "--mode", "exact"]), ("b", ["index", "--mode", "mc"]), ("b", ["check"]),
+    ("left-b", ["onedim"]),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_non_finite_walk_file_exits_3_before_work(capsys, tmp_path, walk_file, line_file,
                                                   field, argv):
-    # a NaN in a tree walk's first cell a or its p, or in a line walk's left tail
-    doc = json.loads(Path(line_file if field == "left" else walk_file).read_text())
+    # a NaN in a tree walk's first cell a or its p, or in a line walk's left
+    # tail; or a finite b.re = 1e200 there, whose norm overflows
+    doc = json.loads(Path(line_file if field.startswith("left") else walk_file).read_text())
     if field == "a":
         doc["cells"][0]["a"] = float("nan")
     elif field == "p":
         doc["p"] = float("nan")
-    else:
+    elif field == "left":
         doc["left"]["a"] = float("nan")
+    else:
+        (doc["left"] if field == "left-b" else doc["cells"][0])["b"]["re"] = 1e200
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, *argv, "--walk", str(path))
@@ -339,7 +345,7 @@ sys.exit(main(sys.argv[1:]))
 
 
 def test_preflight_reads_address_space_limit(walk_file):
-    # under a 3 GB address-space limit a depth-11 check (about 3.6 GB) is
+    # under a 3 GB address-space limit a depth-12 check (about 5.6 GB) is
     # refused at once, where it used to die in numpy after seconds of work
     env = _src_env()
 
@@ -350,11 +356,11 @@ def test_preflight_reads_address_space_limit(walk_file):
                               env=env, capture_output=True, text=True, timeout=300)
         return done, time.perf_counter() - start
 
-    done, seconds = check(11)
+    done, seconds = check(12)
     assert done.returncode == 3, done.stderr
     assert seconds < 1.0
     assert done.stdout == ""
-    assert done.stderr.startswith("error: --depth 11 needs about")
+    assert done.stderr.startswith("error: --depth 12 needs about")
     done, _ = check(6)
     assert done.returncode == 0, done.stderr
 

@@ -23,6 +23,7 @@ def _reject_constant(name):
     pytest.param("desk-mix", 0, "end_to_end", id="0-end_to_end"),
     pytest.param("line-index", 1, "per_layer", id="line-index-1-per_layer"),
     pytest.param("line-index", 0, "end_to_end", id="line-index-0-end_to_end"),
+    pytest.param("tree-check", 1, "per_layer", id="tree-check-1-per_layer"),
 ])
 def test_result_line_is_complete_and_finite(workload, trace, kind):
     done = subprocess.run(

@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from chiralwalk import treeop
-from chiralwalk.linalg import mul_diag_block_right
 from chiralwalk.tree import truncated_tree
 from chiralwalk.treeop import (IDENTITY_NAMES, build_bundle, check_identities,
-                               chirality_conjugated, chirality_direct,
-                               coin_blocks, coin_values, conjugator_blocks,
-                               interior_mask, route_disagreement,
-                               shift_symmetry, tree_operators)
+                               chirality_direct, coin_blocks, coin_values,
+                               conjugated_skew, conjugator_blocks, interior_mask,
+                               route_disagreement, shift_symmetry, tree_operators)
 from chiralwalk.walk import WalkSpec
-from helpers import random_walk_spec, shift_matrix, sphere_coeff
+from helpers import (dense_skew, dense_symmetry, random_walk_spec, shift_matrix,
+                     sphere_coeff)
 
 
 @pytest.fixture(scope="module")
@@ -97,27 +95,29 @@ def test_tree_operators_real_entries(ops6):
 
 def test_symmetry_specializes_at_p_zero(ops6):
     n = ops6.tree.size
+    m = int(interior_mask(ops6.tree).sum())
     gamma = shift_symmetry(ops6.isometry, ops6.defect, 0.0, 1.0)
-    assert np.array_equal(gamma[:n, :n], np.zeros((n, n)))
-    assert np.array_equal(gamma[:n, n:], ops6.isometry.conj().T)
-    assert np.array_equal(gamma[n:, :n], ops6.isometry)
-    assert np.array_equal(gamma[n:, n:], ops6.defect)
+    assert np.array_equal(gamma[:m, :n], np.zeros((m, n)))
+    assert np.array_equal(gamma[:m, n:], ops6.isometry.conj().T[:m])
+    assert np.array_equal(gamma[m:, :n], ops6.isometry[:m])
+    assert np.array_equal(gamma[m:, n:], ops6.defect[:m])
 
 
 def test_symmetry_squares_to_identity_on_interior(ops6):
     rng = np.random.default_rng(12)
-    t = ops6.tree
-    n = t.size
-    inner = np.flatnonzero(interior_mask(t))
-    idx = np.concatenate([inner, n + inner])
+    n = ops6.tree.size
+    m = int(interior_mask(ops6.tree).sum())
     for _ in range(5):
         angle = rng.uniform(0, np.pi)
         p = float(np.cos(angle))
         q = np.sqrt(1 - p * p) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         gamma = shift_symmetry(ops6.isometry, ops6.defect, p, q)
-        residual = gamma[idx, :] @ gamma[:, idx] - np.eye(len(idx))
+        residual = gamma @ gamma.conj().T - np.eye(2 * m)
         assert np.max(np.abs(residual)) < 1e-12, p
-    assert np.max(np.abs(gamma - gamma.conj().T)) < 1e-14  # self-adjoint
+    block = gamma[:, np.r_[:m, n:n + m]]
+    assert np.max(np.abs(block - block.conj().T)) < 1e-14  # self-adjoint
+    full = dense_symmetry(ops6.isometry, ops6.defect, p, q)
+    assert np.max(np.abs(full - full.conj().T)) < 1e-14
 
 
 def test_symmetry_rejects_off_sphere(ops6):
@@ -127,16 +127,20 @@ def test_symmetry_rejects_off_sphere(ops6):
 
 def test_symmetry_degenerate_corner():
     # (p, q) = (1, 0): the shift blocks vanish and the lower-right block is
-    # the involution form 2E - 1 of the defect projection, so the square is
-    # the identity on the whole truncation, not only the interior
+    # the involution form 2E - 1 of the defect projection, so the square of
+    # the full involution is the identity on the whole truncation, not only
+    # the interior
     ops = tree_operators(truncated_tree(4))
     n = ops.tree.size
-    gamma = shift_symmetry(ops.isometry, ops.defect, 1.0, 0.0)
+    gamma = dense_symmetry(ops.isometry, ops.defect, 1.0, 0.0)
     assert np.allclose(gamma[:n, :n], np.eye(n), atol=1e-14)
     assert np.max(np.abs(gamma[:n, n:])) == 0.0
     assert np.max(np.abs(gamma[n:, :n])) == 0.0
     assert np.allclose(gamma[n:, n:], 2.0 * ops.defect - np.eye(n), atol=1e-14)
     assert np.max(np.abs(gamma @ gamma - np.eye(2 * n))) < 1e-14
+    strip = shift_symmetry(ops.isometry, ops.defect, 1.0, 0.0)
+    m = len(strip) // 2
+    assert np.array_equal(strip, gamma[np.r_[:m, n:n + m]])
 
 
 # --- coin and conjugator ------------------------------------------------------------
@@ -182,11 +186,14 @@ def test_routes_agree_for_random_specs(ops6):
 
 
 def test_chirality_conjugation_route_matches_everywhere(ops6):
-    # agreement is exact as matrices, not only on the interior
+    # agreement is exact as matrices, not only on the interior: the
+    # conjugation route on the dense skew part of the whole truncation
     rng = np.random.default_rng(2)
     w = random_walk_spec(rng)
     bundle = build_bundle(w, 6, ops=ops6)
-    conj = chirality_conjugated(bundle.skew, bundle.a, bundle.b)
+    n = ops6.tree.size
+    skew = dense_skew(dense_symmetry(ops6.isometry, ops6.defect, w.p, w.q), bundle.a, bundle.b)
+    conj = conjugated_skew(skew, bundle.a, bundle.b)[n:, :n]
     assert np.max(np.abs(chirality(bundle) - conj)) < 1e-12
 
 
@@ -222,19 +229,21 @@ def test_identities_random_specs(ops6):
         assert residuals["defect_kills_shift"] < 1e-14
 
 
-@pytest.mark.parametrize("tile", [3, 5, None])
-def test_skew_part_is_the_dense_difference(monkeypatch, tile):
-    # U - U* from the dense U of mul_diag_block_right, bit for bit, whatever
-    # the tiles; odd tiles leave ragged edges on both halves
-    if tile is not None:
-        monkeypatch.setattr(treeop, "SKEW_TILE", tile)
+def test_bundle_holds_the_dense_interior():
+    # the strip and the interior skew part are the interior rows of the full
+    # symmetry and the interior block of the dense U - U*, bit for bit
     rng = np.random.default_rng(16)
     for depth in range(2, 9):
         w = random_walk_spec(rng)
-        bundle = build_bundle(w, depth)
-        evolution = mul_diag_block_right(bundle.symmetry, coin_blocks(bundle.a, bundle.b))
-        dense_skew = evolution - evolution.conj().T
-        assert bundle.skew.tobytes() == dense_skew.tobytes(), depth
+        for rule in ("leftmost", "rightmost"):
+            bundle = build_bundle(w, depth, rule=rule)
+            n = bundle.tree.size
+            inner = np.flatnonzero(bundle.interior)
+            inner2 = np.concatenate([inner, n + inner])
+            gamma = dense_symmetry(bundle.isometry, bundle.defect, w.p, w.q)
+            skew = dense_skew(gamma, bundle.a, bundle.b)
+            assert bundle.symmetry.tobytes() == gamma[inner2].tobytes(), (depth, rule)
+            assert bundle.skew.tobytes() == skew[np.ix_(inner2, inner2)].tobytes(), (depth, rule)
 
 
 def test_skew_is_antiselfadjoint(ops6):
@@ -303,11 +312,15 @@ def test_bundle_dimensions(ops6):
     w = random_walk_spec(rng)
     bundle = build_bundle(w, 6, ops=ops6)
     n = 2 ** 7 - 1
+    m = 2 ** 5 - 1
     assert bundle.tree.size == n
     assert bundle.isometry.shape == (n, n)
-    assert bundle.symmetry.shape == (2 * n, 2 * n)
+    assert bundle.symmetry.shape == (2 * m, 2 * n)
+    assert bundle.skew.shape == (2 * m, 2 * m)
     assert chirality(bundle).shape == (n, n)
-    assert bundle.interior.sum() == 2 ** 5 - 1
+    assert bundle.interior.sum() == m
+    # the closed form selects the vertices of depth <= d - 2
+    assert np.array_equal(bundle.interior, [len(v) <= 4 for v in bundle.tree.addresses])
 
 
 def test_build_bundle_rejects_mismatched_ops(ops6):
