@@ -5,11 +5,14 @@ The boundary is modelled as the product space {0,1}^N; a cylinder is the set
 of infinite bit sequences extending a finite prefix, and corresponds
 one-to-one with the subtree hanging below that prefix.  Measures of cylinders
 under the uniform product measure are exact dyadic rationals m / 2^n, so all
-uniform-measure pairings stay in exact integer arithmetic.
+uniform-measure pairings stay in exact integer arithmetic.  In sorted order a
+prefix comes right before the strings that extend it, so the cell of a prefix
+code holding a bit string is one bisection away (:func:`prefix_cell`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Union
 
@@ -145,15 +148,22 @@ def cylinder_measure(m: ProductMeasure, c: Cylinder) -> Union[Dyadic, float]:
     return value
 
 
+def prefix_cell(prefixes: tuple[str, ...], bits: str) -> int | None:
+    """Index of the prefix that ``bits`` extends in the sorted prefix code
+    ``prefixes``, or None when ``bits`` extends none of them."""
+    i = bisect_right(prefixes, bits) - 1
+    return i if i >= 0 and bits.startswith(prefixes[i]) else None
+
+
 def check_prefix_partition(prefixes: list[str]) -> None:
     """Raise unless the cylinders over ``prefixes`` partition the boundary."""
     for p in prefixes:
         check_vertex(p)
-    top = max((len(p) for p in prefixes), default=0)
-    nested = any(a.startswith(b) or b.startswith(a)
-                 for i, a in enumerate(prefixes) for b in prefixes[i + 1:])
-    if nested or sum(1 << (top - len(p)) for p in prefixes) != 1 << top:
-        raise ValueError(f"prefixes do not form a complete prefix code: {sorted(prefixes)}")
+    ordered = sorted(prefixes)
+    top = max((len(p) for p in ordered), default=0)
+    nested = any(b.startswith(a) for a, b in zip(ordered, ordered[1:]))
+    if nested or sum(1 << (top - len(p)) for p in ordered) != 1 << top:
+        raise ValueError(f"prefixes do not form a complete prefix code: {ordered}")
 
 
 def refine_partition(cells: list[Cylinder], level: int) -> list[tuple[Cylinder, Cylinder]]:
@@ -171,16 +181,10 @@ def refine_partition(cells: list[Cylinder], level: int) -> list[tuple[Cylinder, 
             f"cannot refine to level {level}: cells {[c.prefix for c in too_deep]} are finer")
     if level > 30:
         raise ValueError(f"refusing to enumerate 2^{level} cylinders")
-    by_prefix = {c.prefix: c for c in cells}
-
-    def ancestor(p: str) -> Cylinder:
-        for k in range(len(p) + 1):
-            if p[:k] in by_prefix:
-                return by_prefix[p[:k]]
-        raise AssertionError("complete prefix code must cover every point")
-
+    cells = sorted(cells, key=lambda c: c.prefix)
+    prefixes = tuple(c.prefix for c in cells)
     out = []
     for i in range(1 << level):
         p = format(i, f"0{level}b") if level else ""
-        out.append((Cylinder(p), ancestor(p)))
+        out.append((Cylinder(p), cells[prefix_cell(prefixes, p)]))
     return out

@@ -44,11 +44,13 @@ STATUS = "/proc/self/status"
 BASE_BYTES = 64e6    # interpreter, numpy and BLAS before the first dense array
 # peaks per unit of the 1-D inputs, measured with tracemalloc at 1e5-4e6 units
 # and rounded up: 72 B per circle sample (winding, sweep), 24 B per Monte Carlo
-# sample, 710 B per sweep row (with its loop) and 32 B per range-grid value
+# sample, 710 B per sweep row (with its loop), 32 B per range-grid value and
+# 48 B per unit of falk --trunc (the diagonals of its banded factors)
 CIRCLE_SAMPLE_BYTES = 80
 MC_SAMPLE_BYTES = 32
 ROW_BYTES = 800
 GRID_BYTES = 40
+TRUNC_BYTES = 56
 
 
 class _Parser(argparse.ArgumentParser):
@@ -259,8 +261,7 @@ def cmd_onedim(args) -> int:
 
 def cmd_falk(args) -> int:
     _at_least("--trunc", args.trunc, FALK_MIN_TRUNC)
-    # falk_pairing holds about 8 square arrays of its padded window
-    _preflight(f"--trunc {args.trunc}", 8 * 16.0 * (args.trunc + 4) ** 2)
+    _preflight(f"--trunc {args.trunc}", TRUNC_BYTES * args.trunc)
     if args.cylinder is not None:
         cylinder = _parse_cylinder(args.cylinder)
         measure = _parse_measure(args.measure)

@@ -19,7 +19,7 @@ and three sites of each tail, whatever the halfwidth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -103,15 +103,7 @@ class LineIndexResult:
     sines: tuple[float | None, float | None]
 
     def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "kernel_kept": self.kernel_kept,
-            "cokernel_kept": self.cokernel_kept,
-            "kernel_discarded": self.kernel_discarded,
-            "cokernel_discarded": self.cokernel_discarded,
-            "tail_margins": list(self.tail_margins),
-            "sines": list(self.sines),
-        }
+        return asdict(self)
 
 
 def _decaying(t: np.ndarray, grow: bool) -> tuple[np.ndarray, float]:

@@ -85,16 +85,13 @@ class SymbolLoop:
     def b_abs(self) -> float:
         return abs(self.b)
 
-    def __call__(self, w: complex) -> complex:
+    def __call__(self, w):             # a complex w, or an array of them
         return (self.q * (1.0 + self.a) * w
                 - self.q.conjugate() * (1.0 - self.a) * w.conjugate()
                 - 2.0 * self.p * self.b_abs)
 
     def on_circle(self, angles: np.ndarray) -> np.ndarray:
-        w = np.exp(1j * np.asarray(angles, dtype=float))
-        return (self.q * (1.0 + self.a) * w
-                - np.conj(self.q) * (1.0 - self.a) * np.conj(w)
-                - 2.0 * self.p * self.b_abs)
+        return self(np.exp(1j * np.asarray(angles, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -287,26 +284,24 @@ def falk_pairing(f_value: int, trunc: int) -> float:
     With scalar f in {0, 1} and lifts M = V f + (1 - f), N = V* f + (1 - f),
     the pairing is the windowed trace of (1 - M N)^2 minus that of
     (1 - N M)^2, oriented so that f = 1 (the loop z itself) pairs to +1,
-    matching its winding.  The operators are built with padding and the trace
-    restricted to the first ``trunc`` diagonal entries; the factors have
-    bandwidth <= 2, so the windowed diagonal is exactly the half-line value.
+    matching its winding.  The trace is restricted to the first ``trunc``
+    diagonal entries of a padded window; the factors have bandwidth <= 2, so
+    the windowed diagonal of the tridiagonal 1 - M N and 1 - N M is exactly
+    the half-line value.
     """
     if f_value not in (0, 1):
         raise ValueError(f"f must be the scalar 0 or 1, got {f_value}")
     if trunc < FALK_MIN_TRUNC:
         raise ValueError(f"need truncation >= {FALK_MIN_TRUNC}")
-    pad = trunc + 4
-    v = unilateral_shift(pad)
-    eye = np.eye(pad, dtype=np.complex128)
     f = float(f_value)
-    m = v * f + (1.0 - f) * eye
-    n_ = v.conj().T * f + (1.0 - f) * eye
-    top = eye - m @ n_
-    bottom = eye - n_ @ m
-    window = slice(0, trunc)
-    raw = (np.trace((bottom @ bottom)[window, window])
-           - np.trace((top @ top)[window, window]))
-    return float((-raw).real) + 0.0
+    d = np.full(trunc + 4, 1.0 - f)        # M is real: diagonal d, subdiagonal s
+    s = np.full(trunc + 3, f)
+    # 1 - M N and 1 - N M have diagonals 1 - d^2 - s^2, with s shifted down or
+    # up, and off-diagonals -d s, which vanish for f in {0, 1}; so the diagonal
+    # of their square is their diagonal squared
+    top = 1.0 - d * d - np.append(0.0, s * s)
+    bottom = 1.0 - d * d - np.append(s * s, 0.0)
+    return float((top[:trunc] ** 2).sum() - (bottom[:trunc] ** 2).sum())
 
 
 def falk_cylinder_pairing(cyl: Cylinder, measure: ProductMeasure, trunc: int) -> float:

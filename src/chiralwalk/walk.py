@@ -13,8 +13,9 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from .cantor import Cylinder, check_prefix_partition
+from .cantor import Cylinder, check_prefix_partition, prefix_cell
 from .tree import check_vertex
 
 A_MARGIN = 1e-6      # exclusion zone around |a| = 1 (conjugation divides by sqrt(1 -+ a))
@@ -51,10 +52,10 @@ class SphereCoeff:
     b: complex
 
     @staticmethod
-    def make(a: float, b: complex, margin: float = A_MARGIN) -> "SphereCoeff":
+    def make(a: float, b: complex) -> "SphereCoeff":
         a, b = _normalize_pair(float(a), complex(b), "coin coefficient")
-        if abs(a) > 1.0 - margin:
-            raise ValidationError(f"|a| = {abs(a)} too close to 1 (margin {margin})")
+        if abs(a) > 1.0 - A_MARGIN:
+            raise ValidationError(f"|a| = {abs(a)} too close to 1 (margin {A_MARGIN})")
         return SphereCoeff(a, b)
 
 
@@ -81,9 +82,13 @@ class WalkSpec:
             raise ValidationError(str(exc)) from None
         return WalkSpec(p, q, tuple(items))
 
-    @property
+    @cached_property
+    def prefixes(self) -> tuple[str, ...]:
+        return tuple(prefix for prefix, _ in self.cells)
+
+    @cached_property
     def max_level(self) -> int:
-        return max(len(prefix) for prefix, _ in self.cells)
+        return max(map(len, self.prefixes))
 
 
 def eval_boundary(w: WalkSpec, c: Cylinder) -> SphereCoeff:
@@ -92,12 +97,12 @@ def eval_boundary(w: WalkSpec, c: Cylinder) -> SphereCoeff:
     The cylinder must be at least as fine as the cell partition; a coarser
     cylinder straddles several cells and is rejected.
     """
-    for prefix, coeff in w.cells:
-        if c.prefix.startswith(prefix):
-            return coeff
-    raise ValidationError(
-        f"cylinder {c.prefix!r} is coarser than the cell partition; "
-        f"refine to level >= {w.max_level}")
+    i = prefix_cell(w.prefixes, c.prefix)
+    if i is None:
+        raise ValidationError(
+            f"cylinder {c.prefix!r} is coarser than the cell partition; "
+            f"refine to level >= {w.max_level}")
+    return w.cells[i][1]
 
 
 def eval_vertex(w: WalkSpec, v: str, rule: str = "leftmost") -> SphereCoeff:
@@ -108,19 +113,15 @@ def eval_vertex(w: WalkSpec, v: str, rule: str = "leftmost") -> SphereCoeff:
     subtree: the all-zeros continuation under the default ``leftmost`` rule,
     or the all-ones continuation under ``rightmost``.  Interior assignments
     differ from each other by finitely many vertices only, so they never
-    affect boundary quantities; see the index-invariance tests.
+    affect boundary quantities; see the index-invariance tests.  A vertex at
+    or below its cell keeps it under any continuation, so one lookup of ``v``
+    filled to the deepest cell level serves every vertex.
     """
     check_vertex(v)
-    for prefix, coeff in w.cells:
-        if v.startswith(prefix):
-            return coeff
-    if rule == "leftmost":
-        probe = v + "0" * (w.max_level - len(v))
-    elif rule == "rightmost":
-        probe = v + "1" * (w.max_level - len(v))
-    else:
+    fill = {"leftmost": "0", "rightmost": "1"}.get(rule)
+    if fill is None:
         raise ValueError(f"unknown interior rule {rule!r}")
-    return eval_boundary(w, Cylinder(probe))
+    return w.cells[prefix_cell(w.prefixes, v + fill * (w.max_level - len(v)))][1]
 
 
 # --- JSON formats -----------------------------------------------------------
@@ -209,12 +210,13 @@ class LineWalkSpec:
             raise ValidationError(f"duplicate middle positions: {positions}")
         return LineWalkSpec(left, right, tuple(items))
 
+    @cached_property
+    def by_site(self) -> dict[int, SphereCoeff]:
+        return dict(self.middle)
+
 
 def line_coeff(spec: LineWalkSpec, n: int) -> SphereCoeff:
-    for pos, coeff in spec.middle:
-        if pos == n:
-            return coeff
-    return spec.left if n < 0 else spec.right
+    return spec.by_site.get(n, spec.left if n < 0 else spec.right)
 
 
 def parse_line_walk(text: str) -> LineWalkSpec:

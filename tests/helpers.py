@@ -1,6 +1,8 @@
-"""Shared generators for randomized walk specs, the dense full-truncation tree
-route that witnesses the interior bundle of ``chiralwalk.treeop``, and the
-dense lattice route that witnesses ``chiralwalk.onedim``."""
+"""Shared generators for randomized walk specs, the scans that witness the
+prefix-code lookup of ``chiralwalk.cantor``, the dense full-truncation tree
+route that witnesses the interior bundle of ``chiralwalk.treeop``, the dense
+Falk trace that witnesses ``chiralwalk.symbol.falk_pairing``, and the dense
+lattice route that witnesses ``chiralwalk.onedim``."""
 
 from __future__ import annotations
 
@@ -9,14 +11,77 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from chiralwalk.cantor import Cylinder
 from chiralwalk.linalg import mul_diag_block_right
 from chiralwalk.onedim import CRITICAL, TAIL_GAP
+from chiralwalk.symbol import unilateral_shift
+from chiralwalk.tree import check_vertex
 from chiralwalk.treeop import coin_blocks
-from chiralwalk.walk import LineWalkSpec, SphereCoeff, WalkSpec, line_coeff
+from chiralwalk.walk import LineWalkSpec, SphereCoeff, ValidationError, WalkSpec, line_coeff
 
 
 def sphere_coeff(a: float, phase: float = 0.0) -> SphereCoeff:
     return SphereCoeff.make(a, np.sqrt(1.0 - a * a) * np.exp(1j * phase))
+
+
+# --- the scanning prefix-code lookup ---------------------------------------
+#
+# The cell lookup as it was before ``cantor.prefix_cell`` bisected the sorted
+# prefixes: a test of every pair for nesting, and a scan over every cell.
+
+
+def scan_check_prefix_partition(prefixes: list[str]) -> None:
+    """Oracle for ``cantor.check_prefix_partition``: the same error text."""
+    for p in prefixes:
+        check_vertex(p)
+    top = max((len(p) for p in prefixes), default=0)
+    nested = any(a.startswith(b) or b.startswith(a)
+                 for i, a in enumerate(prefixes) for b in prefixes[i + 1:])
+    if nested or sum(1 << (top - len(p)) for p in prefixes) != 1 << top:
+        raise ValueError(f"prefixes do not form a complete prefix code: {sorted(prefixes)}")
+
+
+def scan_eval_boundary(w: WalkSpec, c: Cylinder) -> SphereCoeff:
+    """Oracle for ``walk.eval_boundary``."""
+    for prefix, coeff in w.cells:
+        if c.prefix.startswith(prefix):
+            return coeff
+    raise ValidationError(
+        f"cylinder {c.prefix!r} is coarser than the cell partition; "
+        f"refine to level >= {w.max_level}")
+
+
+def scan_eval_vertex(w: WalkSpec, v: str, rule: str = "leftmost") -> SphereCoeff:
+    """Oracle for ``walk.eval_vertex``: a scan for the vertex's cell, then a
+    second scan for its all-zeros or all-ones continuation."""
+    check_vertex(v)
+    for prefix, coeff in w.cells:
+        if v.startswith(prefix):
+            return coeff
+    if rule == "leftmost":
+        probe = v + "0" * (w.max_level - len(v))
+    elif rule == "rightmost":
+        probe = v + "1" * (w.max_level - len(v))
+    else:
+        raise ValueError(f"unknown interior rule {rule!r}")
+    return scan_eval_boundary(w, Cylinder(probe))
+
+
+def dense_falk_pairing(f_value: int, trunc: int) -> float:
+    """Oracle for ``symbol.falk_pairing``: the windowed traces read off dense
+    (trunc + 4)^2 products of the lifts M = V f + (1 - f), N = V* f + (1 - f)."""
+    pad = trunc + 4
+    v = unilateral_shift(pad)
+    eye = np.eye(pad, dtype=np.complex128)
+    f = float(f_value)
+    m = v * f + (1.0 - f) * eye
+    n_ = v.conj().T * f + (1.0 - f) * eye
+    top = eye - m @ n_
+    bottom = eye - n_ @ m
+    window = slice(0, trunc)
+    raw = (np.trace((bottom @ bottom)[window, window])
+           - np.trace((top @ top)[window, window]))
+    return float((-raw).real) + 0.0
 
 
 def shift_matrix(t) -> np.ndarray:

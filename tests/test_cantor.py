@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from chiralwalk.cantor import (Cylinder, Dyadic, ProductMeasure,
                                check_prefix_partition, cylinder_measure,
                                refine_partition)
+from helpers import scan_check_prefix_partition
 
 dyadics = st.builds(Dyadic.make,
                     st.integers(min_value=-10**6, max_value=10**6),
@@ -141,3 +142,17 @@ def test_check_partition_raises():
     with pytest.raises(ValueError):
         check_prefix_partition(["0", "00"])
 
+
+
+@pytest.mark.parametrize("prefixes", [
+    ["00", "1000", "1001", "1010", "1011", "0"],   # Kraft sum 1, only the nesting fails
+    ["0", "0"],                                    # Kraft sum 1, only the repeat fails
+    ["0", "10"],
+    ["0", "1", "11", "10"],
+], ids=["nested-far-apart", "duplicate", "incomplete", "over-complete"])
+def test_partition_check_raises_the_pairwise_message(prefixes):
+    with pytest.raises(ValueError) as oracle:
+        scan_check_prefix_partition(prefixes)
+    with pytest.raises(ValueError) as sorted_check:
+        check_prefix_partition(prefixes)
+    assert str(sorted_check.value) == str(oracle.value)

@@ -276,9 +276,9 @@ def meminfo(tmp_path, monkeypatch):
     ["check", "--depth", "21"],
     ["onedim", "--halfwidth", "1"],
     *([cmd, "--tol", tol] for cmd in ("check", "onedim") for tol in ("nan", "inf", "-1", "0")),
-    # dense arrays from 22 GB upwards, against 6 GB available
+    # arrays of 22 GB (check) and 11 GB (falk), against 6 GB available
     ["check", "--depth", "13"],
-    ["falk", "--f-value", "1", "--trunc", "100000"],
+    ["falk", "--f-value", "1", "--trunc", "200000000"],
 ], ids=" ".join)
 def test_invalid_arguments_exit_3_before_work(capsys, meminfo, walk_file, line_file, argv):
     meminfo(6_000_000)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -285,3 +287,17 @@ def test_halfwidth_guard():
     spec = LineWalkSpec.make(sphere_coeff(0.9), sphere_coeff(0.3), [])
     with pytest.raises(ValueError, match="halfwidth >= 2"):
         build_line(spec, 1)
+
+
+def test_build_line_on_16000_middle_sites_is_fast():
+    rng = np.random.default_rng(16)
+    middle = [(n, sphere_coeff(float(a))) for n, a in zip(range(-8000, 8000),
+                                                          rng.uniform(-0.6, 0.6, 16000))]
+    spec = LineWalkSpec.make(sphere_coeff(0.9), sphere_coeff(0.3), middle)
+    start = time.perf_counter()
+    bundle = build_line(spec, 16000)
+    assert time.perf_counter() - start < 1.0
+    inside = (bundle.sites >= -8000) & (bundle.sites < 8000)
+    assert bundle.a[inside].tolist() == [c.a for _, c in middle]
+    assert set(bundle.a[bundle.sites < -8000]) == {spec.left.a}
+    assert set(bundle.a[bundle.sites >= 8000]) == {spec.right.a}

@@ -9,6 +9,7 @@ from chiralwalk.symbol import (ROUTE_TOL, SymbolLoop, SymbolSingularError, agree
                                half_line_operator, kernel_recursion, loop_min, poles,
                                residue_numeric, solve_w0, unilateral_shift,
                                winding_quadrature, winding_residues)
+from helpers import dense_falk_pairing
 
 
 def loop(a, p=0.0, b_phase=0.0, q_phase=0.0):
@@ -333,6 +334,12 @@ def test_falk_sign_matches_winding_of_generator():
 
 def test_falk_truncation_invariance():
     assert falk_pairing(1, 16) == falk_pairing(1, 400)
+
+
+@pytest.mark.parametrize("f_value", [0, 1])
+def test_falk_pairing_matches_the_dense_trace(f_value):
+    for trunc in range(16, 81):
+        assert repr(falk_pairing(f_value, trunc)) == repr(dense_falk_pairing(f_value, trunc))
 
 
 def test_falk_rejects_bad_input():

@@ -1,14 +1,18 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
-from chiralwalk.cantor import Cylinder
+from chiralwalk.cantor import Cylinder, ProductMeasure
+from chiralwalk.index import s_index_exact
+from chiralwalk.tree import truncated_tree
 from chiralwalk.walk import (LineWalkSpec, SphereCoeff, ValidationError, WalkSpec,
                              eval_boundary, eval_vertex, line_coeff,
                              line_walk_to_json, parse_line_walk, parse_walk,
                              walk_to_json)
-from helpers import random_walk_spec, sphere_coeff
+from helpers import (random_partition, random_walk_spec, scan_eval_boundary,
+                     scan_eval_vertex, sphere_coeff)
 
 
 def test_coeff_normalization():
@@ -91,6 +95,58 @@ def test_eval_vertex_constant_on_cell_subtrees():
         pad = prefix + "0" * (level - len(prefix))
         for tail in ("", "0", "1", "01"):
             assert eval_vertex(w, pad + tail) == coeff
+
+
+def _lookup_walks():
+    """Random partitions of levels 1-6 and the level-40 comb."""
+    rng = np.random.default_rng(18)
+    codes = [random_partition(rng, level, splits=4 * level)
+             for level in range(1, 7) for _ in range(3)]
+    codes.append(["0" * k + "1" for k in range(40)] + ["0" * 40])
+    return [WalkSpec.make(0.3, np.sqrt(1 - 0.09),
+                          [(prefix, sphere_coeff(float(rng.uniform(-0.9, 0.9))))
+                           for prefix in code])
+            for code in codes]
+
+
+def test_lookup_matches_the_scan():
+    vertices = truncated_tree(8).addresses
+    for w in _lookup_walks():
+        for v in vertices:
+            for rule in ("leftmost", "rightmost"):
+                assert eval_vertex(w, v, rule) is scan_eval_vertex(w, v, rule), (w.prefixes, v)
+            try:
+                expected = scan_eval_boundary(w, Cylinder(v))
+            except ValidationError as exc:
+                with pytest.raises(ValidationError) as err:
+                    eval_boundary(w, Cylinder(v))
+                assert str(err.value) == str(exc)
+            else:
+                assert eval_boundary(w, Cylinder(v)) is expected
+
+
+def test_eval_vertex_rejects_an_unknown_rule_everywhere():
+    a, b, c = sphere_coeff(0.3), sphere_coeff(0.6), sphere_coeff(-0.6)
+    w = WalkSpec.make(0.0, 1.0, [("00", a), ("01", b), ("1", c)])
+    # the scan raised only above the partition, and answered below it
+    assert scan_eval_vertex(w, "1", rule="middle") == c
+    for v in truncated_tree(4).addresses:
+        with pytest.raises(ValueError, match="unknown interior rule"):
+            eval_vertex(w, v, rule="middle")
+
+
+def test_level_14_code_parses_and_indexes_fast():
+    level = 14
+    rng = np.random.default_rng(14)
+    cells = [{"prefix": format(i, f"0{level}b"), "a": a, "b": {"re": float(np.sqrt(1 - a * a)),
+                                                               "im": 0.0}}
+             for i, a in enumerate(rng.uniform(-0.9, 0.9, 1 << level))]
+    rng.shuffle(cells)
+    text = json.dumps({"p": 0.0, "q": {"re": 1.0, "im": 0.0}, "cells": cells})
+    start = time.perf_counter()
+    report = s_index_exact(parse_walk(text), ProductMeasure.uniform())
+    assert time.perf_counter() - start < 2.0
+    assert len(report.per_cell) == 1 << level
 
 
 def test_parse_examples():
