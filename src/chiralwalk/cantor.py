@@ -70,9 +70,6 @@ class Dyadic:
     def __float__(self) -> float:
         return self.num / (1 << self.exp)
 
-    def to_json(self) -> dict:
-        return {"num": self.num, "exp": self.exp}
-
     def __str__(self) -> str:
         return f"{self.num}/2^{self.exp}" if self.exp else str(self.num)
 

@@ -161,10 +161,10 @@ def cmd_check(args) -> int:
     # the identities are checked two layers in from the truncation depth
     if not 2 <= args.depth <= MAX_DEPTH:
         raise ValidationError(f"--depth must lie in [2, {MAX_DEPTH}], got {args.depth}")
-    # a check at depths 8-11 peaks near 4.7 n x n arrays (the bundle's L and
-    # E, the 2m x 2n symmetry strip with m ~ n / 4, plus transients); 5.2
-    # keeps a margin
-    _preflight(f"--depth {args.depth}", 5.2 * 16.0 * (2 ** (args.depth + 1) - 1) ** 2)
+    # a check at depths 8-11 peaks at 3.1-3.5 n x n arrays (the n x m slab of
+    # L and m x n slab of E, the 2m x 2n symmetry strip with m ~ n / 4, its
+    # adjoint and product, plus transients); 3.9 keeps a margin
+    _preflight(f"--depth {args.depth}", 3.9 * 16.0 * (2 ** (args.depth + 1) - 1) ** 2)
     w = parse_walk(_read_text(args.walk))
     bundle = build_bundle(w, args.depth)
     residuals = check_identities(bundle)

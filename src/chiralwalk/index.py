@@ -12,7 +12,7 @@ hypothesis is global.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -43,9 +43,6 @@ class CellWinding:
     winding: int
     measure: float
 
-    def to_json(self) -> dict:
-        return {"prefix": self.prefix, "winding": self.winding, "measure": self.measure}
-
 
 @dataclass(frozen=True)
 class IndexReport:
@@ -62,17 +59,7 @@ class IndexReport:
     seed: int | None = None
 
     def to_json(self) -> str:
-        doc = {
-            "mode": self.mode,
-            "numeric": self.numeric,
-            "exact": self.exact.to_json() if self.exact is not None else None,
-            "per_cell": [c.to_json() for c in self.per_cell],
-            "classification_counts": self.classification_counts,
-            "mc_stderr": self.mc_stderr,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def _checked_cell_windings(w: WalkSpec):

@@ -25,6 +25,7 @@ import numpy as np
 
 from .index import classify_point
 from .symbol import on_locus
+from .treeop import conjugator_blocks
 from .walk import LineWalkSpec, line_coeff
 
 CRITICAL = 1.0 / math.sqrt(2.0)
@@ -74,13 +75,9 @@ def chirality_map(bundle: LineBundle) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     The coin's +1 and -1 eigenvectors are the per-site columns
     U+ = (u1, u2) = (s+, b/s+)/sqrt(2) and V = (v1, v2) = (-s-, b/s-)/sqrt(2),
-    s+- = sqrt(1 +- a).
+    s+- = sqrt(1 +- a): the blocks of the tree's conjugator.
     """
-    s_plus = np.sqrt(1.0 + bundle.a)
-    s_minus = np.sqrt(1.0 - bundle.a)
-    r = 1.0 / math.sqrt(2.0)
-    u1, u2 = r * s_plus, r * bundle.b / s_plus
-    v1, v2 = -r * s_minus, r * bundle.b / s_minus
+    u1, v1, u2, v2 = conjugator_blocks(bundle.a, bundle.b)
     root2 = math.sqrt(2.0)
     diag = root2 * (np.conj(v1) * u1 - np.conj(v2) * u2)
     sup = root2 * np.conj(v1[:-1]) * u2[1:]

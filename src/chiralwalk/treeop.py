@@ -5,18 +5,21 @@ shift maps a parent basis vector to the sum of its children, its rescaling by
 1/sqrt(2) is an isometry below the outermost layer, and the defect projection
 1 - L L* kills shifted vectors exactly on the whole truncation (children come
 in sibling pairs, which are always both inside the window).  Identity checks
-are therefore restricted to the interior projector (depth <= d - 2), where
-compression artifacts vanish; the margin is two layers because the chirality
-block composes two depth-shifting factors.
+are therefore restricted to the interior (depth <= d - 2), where compression
+artifacts vanish; the margin is two layers because the chirality block
+composes two depth-shifting factors.  In breadth-first order the interior is
+the first m = 2^(d-1) - 1 vertices, and :func:`tree_operators` is the one
+place that counts them: every other function reads m off an array shape.
 
 Coin-type operators (C and the conjugator) are 2x2 block matrices with
 diagonal blocks and exist only as their four diagonal blocks: products among
 them are blockwise, and products with dense operators are exact row and
 column scaling (see chiralwalk.linalg), so no dense coin is ever formed.  The
-defect projection is written down in closed form.  The operator bundle holds
-the symmetry only as its interior rows and the skew part U - U* only as its
-interior block, which is all the identity checks read; the walk unitary
-U = (symmetry)(coin) is never formed.
+tree operators are formed only where the identities read them: L on the
+interior's columns and the defect, in closed form, on the interior's rows.
+The operator bundle holds the symmetry only as its interior rows and the
+skew part U - U* only as its interior block; no n x n array and no walk
+unitary U = (symmetry)(coin) is formed.
 """
 
 from __future__ import annotations
@@ -34,33 +37,36 @@ from .walk import WalkSpec, eval_vertex
 
 
 class TreeOperators(NamedTuple):
+    """The tree operators on the interior: ``isometry`` is the n x m slab of
+    L's interior columns and ``defect`` the m x n slab of E's interior rows."""
+
     tree: TruncatedTree
     isometry: np.ndarray
     defect: np.ndarray
 
 
 def tree_operators(t: TruncatedTree) -> TreeOperators:
-    """Isometry L = S / sqrt(2) of the shift S, and defect projection E = 1 - L L*.
+    """Isometry L = S / sqrt(2) of the shift S, and defect projection E = 1 - L L*,
+    on the m = 2^(d-1) - 1 interior vertices (depth <= d - 2).
 
     (S f)(v) = f(parent(v)), and the root row is zero.  Column u holds the
-    children of u that fit in the window, so vertices at the truncation depth
-    are annihilated by the adjoint side of the pairing.
+    children of u, which for an interior u are the vertices 1..2m.
 
     E is 1 at the root, 1 - r r on every other diagonal entry and -r r
     between siblings (i and i + 1 for odd i in breadth-first order), with
     r = 1/sqrt(2): the entries of 1 - L L*, bit for bit, without the product.
     """
     n = t.size
+    m = n // 4  # (2^(d+1) - 1) // 4 = 2^(d-1) - 1
     r = 1.0 / math.sqrt(2.0)
-    below = np.arange(1, n)
-    # S / sqrt(2) written in place, r at (child, parent): the bytes of the
-    # quotient without a second n x n array
-    isometry = np.zeros((n, n), dtype=np.complex128)
-    isometry[below, np.asarray(t.parent_index[1:])] = r
-    defect = np.zeros((n, n), dtype=np.complex128)
-    defect[below, below] = 1.0 - r * r
-    defect[0, 0] = 1.0
-    odd = np.arange(1, n, 2)
+    children = np.arange(1, 2 * m + 1)
+    isometry = np.zeros((n, m), dtype=np.complex128)
+    isometry[children, np.asarray(t.parent_index)[children]] = r
+    defect = np.zeros((m, n), dtype=np.complex128)
+    inner = np.arange(m)
+    defect[inner, inner] = 1.0 - r * r
+    defect[:1, 0] = 1.0
+    odd = np.arange(1, m, 2)
     defect[odd, odd + 1] = -r * r
     defect[odd + 1, odd] = -r * r
     return TreeOperators(t, isometry, defect)
@@ -101,7 +107,8 @@ def _dagger_blocks(d):
 
 def shift_symmetry(isometry: np.ndarray, defect: np.ndarray,
                    p: float, q: complex) -> np.ndarray:
-    """The interior rows of the involution [[p, conj(q) L*], [q L, (1 + p) E - p]].
+    """The interior rows of the involution [[p, conj(q) L*], [q L, (1 + p) E - p]],
+    from the n x m ``isometry`` and m x n ``defect`` of :func:`tree_operators`.
 
     The lower right block must square to |q|^2 E + p^2 against |q|^2 L L*,
     which forces the coefficient 1 + p on the defect; with it the square is
@@ -110,19 +117,21 @@ def shift_symmetry(isometry: np.ndarray, defect: np.ndarray,
     the familiar [[p, conj(q) L*], [q L, -p]].
 
     Only the 2m x 2n strip of rows ``inner`` and ``n + inner`` is formed,
-    where ``inner`` is the first m = 2^(d-1) - 1 vertices in breadth-first
-    order (depth <= d - 2); its entries are those of the full involution.
+    where ``inner`` is the first m vertices; its entries are those of the
+    full involution.  An interior row of L is zero beyond column m, and q
+    multiplies those zeros too, so the strip keeps their signs.
     """
     if abs(p * p + abs(q) ** 2 - 1.0) > 1e-12:
         raise ValueError(f"(p, q) = ({p}, {q}) not on the unit sphere")
-    n = isometry.shape[0]
-    m = (n + 1) // 4 - 1
+    n, m = isometry.shape
     out = np.zeros((2 * m, 2 * n), dtype=np.complex128)
     idx = np.arange(m)
     out[idx, idx] = p
-    out[:m, n:] = np.conj(q) * isometry[:, :m].conj().T
-    out[m:, :n] = q * isometry[:m]
-    out[m:, n:] = (1.0 + p) * defect[:m]
+    out[:m, n:] = np.conj(q) * isometry.conj().T
+    lower = np.zeros((m, n), dtype=np.complex128)
+    lower[:, :m] = isometry[:m]
+    out[m:, :n] = q * lower
+    out[m:, n:] = (1.0 + p) * defect
     out[m + idx, n + idx] -= p
     return out
 
@@ -154,22 +163,16 @@ def conjugated_skew(skew: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
     return mul_diag_block_left(_dagger_blocks(eps), mul_diag_block_right(skew, eps))
 
 
-def interior_mask(t: TruncatedTree) -> np.ndarray:
-    """Boolean mask selecting vertices of depth <= d - 2: in breadth-first
-    order, the first m = 2^(d-1) - 1 of the n = 2^(d+1) - 1."""
-    return np.arange(t.size) < (t.size + 1) // 4 - 1
-
-
 @dataclass
 class OperatorBundle:
     """The operators ``check_identities`` and ``route_disagreement`` read.
 
-    The coin is kept only as its per-vertex data ``a`` and ``b``; its blocks
-    and the conjugator's are formed from them where needed.  ``isometry`` and
-    ``defect`` are the n x n tree operators (the defect in closed form).  With
-    m the number of ``interior`` vertices, ``symmetry`` is the 2m x 2n strip
+    With m the number of interior vertices, the coin is kept only as its
+    data ``a`` and ``b`` on them; its blocks and the conjugator's are formed
+    from these where needed.  ``isometry`` (n x m) and ``defect`` (m x n) are
+    the slabs of :func:`tree_operators`, ``symmetry`` is the 2m x 2n strip
     of the symmetry's interior rows and ``skew`` the 2m x 2m interior block of
-    U - U*; no 2n x 2n array and no walk unitary U is formed.
+    U - U*; no n x n array and no walk unitary U is formed.
     """
 
     tree: TruncatedTree
@@ -180,7 +183,6 @@ class OperatorBundle:
     b: np.ndarray
     symmetry: np.ndarray
     skew: np.ndarray
-    interior: np.ndarray
 
 
 def build_bundle(w: WalkSpec, depth: int, rule: str = "leftmost",
@@ -198,14 +200,13 @@ def build_bundle(w: WalkSpec, depth: int, rule: str = "leftmost",
     elif ops.tree.depth != depth:
         raise ValueError(f"tree operators are at depth {ops.tree.depth}, not {depth}")
     t = ops.tree
+    m = len(ops.defect)
     a, b = coin_values(w, t, rule)
+    a, b = a[:m], b[:m]
     symmetry = shift_symmetry(ops.isometry, ops.defect, w.p, w.q)
-    m = len(symmetry) // 2
-    u = mul_diag_block_right(symmetry[:, np.r_[:m, t.size:t.size + m]],
-                             coin_blocks(a[:m], b[:m]))
+    u = mul_diag_block_right(symmetry[:, np.r_[:m, t.size:t.size + m]], coin_blocks(a, b))
     return OperatorBundle(tree=t, walk=w, isometry=ops.isometry, defect=ops.defect,
-                          a=a, b=b, symmetry=symmetry, skew=u - u.conj().T,
-                          interior=interior_mask(t))
+                          a=a, b=b, symmetry=symmetry, skew=u - u.conj().T)
 
 
 IDENTITY_NAMES = (
@@ -240,8 +241,8 @@ def check_identities(bundle: OperatorBundle) -> dict[str, float]:
     products.  Only genuinely depth-mixing products (the symmetry square,
     defect times isometry) contract over the full truncation.
     """
-    m = int(np.count_nonzero(bundle.interior))
-    a, b = bundle.a[:m], bundle.b[:m]
+    a, b = bundle.a, bundle.b
+    m = len(a)
     cblocks = coin_blocks(a, b)
     eblocks = conjugator_blocks(a, b)
     edagger = _dagger_blocks(eblocks)
@@ -258,7 +259,7 @@ def check_identities(bundle: OperatorBundle) -> dict[str, float]:
     residuals["coin_diagonalized"] = _block_residual(
         diag_block_product(edagger, diag_block_product(cblocks, eblocks)), (1, -1))
 
-    el = matmul(bundle.defect[:m], bundle.isometry[:, :m])
+    el = matmul(bundle.defect, bundle.isometry)
     residuals["defect_kills_shift"] = float(np.max(np.abs(el)))
 
     skew = bundle.skew
@@ -275,8 +276,8 @@ def check_identities(bundle: OperatorBundle) -> dict[str, float]:
 
 def route_disagreement(bundle: OperatorBundle) -> float:
     """Interior max difference between the two chirality constructions."""
-    m = int(np.count_nonzero(bundle.interior))
-    a, b = bundle.a[:m], bundle.b[:m]
+    a, b = bundle.a, bundle.b
+    m = len(a)
     direct = chirality_direct(bundle.walk.p, bundle.walk.q, a, b,
-                              bundle.isometry[:m, :m], bundle.defect[:m, :m])
+                              bundle.isometry[:m], bundle.defect[:, :m])
     return float(np.max(np.abs(direct - conjugated_skew(bundle.skew, a, b)[m:, :m])))

@@ -74,8 +74,7 @@ class WalkSpec:
     @staticmethod
     def make(p: float, q: complex, cells) -> "WalkSpec":
         p, q = _normalize_pair(float(p), complex(q), "chirality parameter (p, q)")
-        items = sorted(((check_vertex(prefix), coeff) for prefix, coeff in cells),
-                       key=lambda item: item[0])
+        items = sorted(((prefix, coeff) for prefix, coeff in cells), key=lambda item: item[0])
         try:
             check_prefix_partition([prefix for prefix, _ in items])
         except ValueError as exc:

@@ -1,8 +1,8 @@
 """Shared generators for randomized walk specs, the scans that witness the
 prefix-code lookup of ``chiralwalk.cantor``, the dense full-truncation tree
-route that witnesses the interior bundle of ``chiralwalk.treeop``, the dense
-Falk trace that witnesses ``chiralwalk.symbol.falk_pairing``, and the dense
-lattice route that witnesses ``chiralwalk.onedim``."""
+route that witnesses the interior slabs and bundle of ``chiralwalk.treeop``,
+the dense Falk trace that witnesses ``chiralwalk.symbol.falk_pairing``, and
+the dense lattice route that witnesses ``chiralwalk.onedim``."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from chiralwalk.linalg import mul_diag_block_right
 from chiralwalk.onedim import CRITICAL, TAIL_GAP
 from chiralwalk.symbol import unilateral_shift
 from chiralwalk.tree import check_vertex
-from chiralwalk.treeop import coin_blocks
+from chiralwalk.treeop import TreeOperators, coin_blocks
 from chiralwalk.walk import LineWalkSpec, SphereCoeff, ValidationError, WalkSpec, line_coeff
 
 
@@ -86,14 +86,34 @@ def dense_falk_pairing(f_value: int, trunc: int) -> float:
 
 def shift_matrix(t) -> np.ndarray:
     """The dense tree shift of a truncated tree: (S f)(v) = f(parent(v)),
-    with a zero root row.  Oracle for ``treeop.tree_operators``, which writes
-    S / sqrt(2) in place."""
+    with a zero root row.  Oracle for :func:`dense_tree_operators`, which
+    writes S / sqrt(2) in place."""
     n = t.size
     s = np.zeros((n, n), dtype=np.complex128)
     for child, par in enumerate(t.parent_index):
         if par >= 0:
             s[child, par] = 1.0
     return s
+
+
+def dense_tree_operators(t) -> TreeOperators:
+    """The n x n isometry L = S / sqrt(2) and defect E = 1 - L L* of the whole
+    truncation, E in closed form.  Oracle for ``treeop.tree_operators``,
+    whose slabs are L[:, :m] and E[:m] for the m interior vertices."""
+    n = t.size
+    r = 1.0 / math.sqrt(2.0)
+    below = np.arange(1, n)
+    # S / sqrt(2) written in place, r at (child, parent): the bytes of the
+    # quotient without a second n x n array
+    isometry = np.zeros((n, n), dtype=np.complex128)
+    isometry[below, np.asarray(t.parent_index[1:])] = r
+    defect = np.zeros((n, n), dtype=np.complex128)
+    defect[below, below] = 1.0 - r * r
+    defect[0, 0] = 1.0
+    odd = np.arange(1, n, 2)
+    defect[odd, odd + 1] = -r * r
+    defect[odd + 1, odd] = -r * r
+    return TreeOperators(t, isometry, defect)
 
 
 def dense_symmetry(isometry: np.ndarray, defect: np.ndarray, p: float,

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -56,7 +58,7 @@ def test_ordering():
 
 
 def test_json_form():
-    assert Dyadic.make(1, 2).to_json() == {"num": 1, "exp": 2}
+    assert asdict(Dyadic.make(1, 2)) == {"num": 1, "exp": 2}
 
 
 # --- cylinders and measures ---------------------------------------------------

@@ -276,7 +276,7 @@ def meminfo(tmp_path, monkeypatch):
     ["check", "--depth", "21"],
     ["onedim", "--halfwidth", "1"],
     *([cmd, "--tol", tol] for cmd in ("check", "onedim") for tol in ("nan", "inf", "-1", "0")),
-    # arrays of 22 GB (check) and 11 GB (falk), against 6 GB available
+    # arrays of 17 GB (check) and 11 GB (falk), against 6 GB available
     ["check", "--depth", "13"],
     ["falk", "--f-value", "1", "--trunc", "200000000"],
 ], ids=" ".join)
@@ -301,11 +301,14 @@ def test_invalid_arguments_exit_3_before_work(capsys, meminfo, walk_file, line_f
     ("left", ["onedim"]),
     ("b", ["index", "--mode", "exact"]), ("b", ["index", "--mode", "mc"]), ("b", ["check"]),
     ("left-b", ["onedim"]),
+    ("prefix", ["index", "--mode", "exact"]), ("prefix", ["index", "--mode", "mc"]),
+    ("prefix", ["check"]),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_non_finite_walk_file_exits_3_before_work(capsys, tmp_path, walk_file, line_file,
                                                   field, argv):
     # a NaN in a tree walk's first cell a or its p, or in a line walk's left
-    # tail; or a finite b.re = 1e200 there, whose norm overflows
+    # tail; or a finite b.re = 1e200 there, whose norm overflows; or a tree
+    # walk cell whose prefix is not a bit string
     doc = json.loads(Path(line_file if field.startswith("left") else walk_file).read_text())
     if field == "a":
         doc["cells"][0]["a"] = float("nan")
@@ -313,6 +316,8 @@ def test_non_finite_walk_file_exits_3_before_work(capsys, tmp_path, walk_file, l
         doc["p"] = float("nan")
     elif field == "left":
         doc["left"]["a"] = float("nan")
+    elif field == "prefix":
+        doc["cells"][0]["prefix"] = "x"
     else:
         (doc["left"] if field == "left-b" else doc["cells"][0])["b"]["re"] = 1e200
     path = tmp_path / "nan.json"
@@ -345,7 +350,7 @@ sys.exit(main(sys.argv[1:]))
 
 
 def test_preflight_reads_address_space_limit(walk_file):
-    # under a 3 GB address-space limit a depth-12 check (about 5.6 GB) is
+    # under a 3 GB address-space limit a depth-12 check (about 4.2 GB) is
     # refused at once, where it used to die in numpy after seconds of work
     env = _src_env()
 

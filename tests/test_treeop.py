@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,16 +7,21 @@ import pytest
 from chiralwalk.tree import truncated_tree
 from chiralwalk.treeop import (IDENTITY_NAMES, build_bundle, check_identities,
                                chirality_direct, coin_blocks, coin_values,
-                               conjugated_skew, conjugator_blocks, interior_mask,
-                               route_disagreement, shift_symmetry, tree_operators)
+                               conjugated_skew, conjugator_blocks, route_disagreement,
+                               shift_symmetry, tree_operators)
 from chiralwalk.walk import WalkSpec
-from helpers import (dense_skew, dense_symmetry, random_walk_spec, shift_matrix,
-                     sphere_coeff)
+from helpers import (dense_skew, dense_symmetry, dense_tree_operators, random_walk_spec,
+                     shift_matrix, sphere_coeff)
 
 
 @pytest.fixture(scope="module")
 def ops6():
     return tree_operators(truncated_tree(6))
+
+
+@pytest.fixture(scope="module")
+def dense6():
+    return dense_tree_operators(truncated_tree(6))
 
 
 def dense(d):
@@ -24,10 +30,11 @@ def dense(d):
     return np.block([[np.diag(d11), np.diag(d12)], [np.diag(d21), np.diag(d22)]])
 
 
-def chirality(bundle):
-    """The bundle's chirality block, by the direct route."""
-    return chirality_direct(bundle.walk.p, bundle.walk.q, bundle.a, bundle.b,
-                            bundle.isometry, bundle.defect)
+def chirality(w, dense_ops, rule="leftmost"):
+    """The walk's chirality block on the whole truncation, by the direct
+    route on the dense tree operators."""
+    a, b = coin_values(w, dense_ops.tree, rule)
+    return chirality_direct(w.p, w.q, a, b, dense_ops.isometry, dense_ops.defect)
 
 
 def basis_vector(t, v):
@@ -59,8 +66,8 @@ def test_shift_gram_is_two_above_leaves():
     assert np.allclose(gram[:inner, :inner], 2.0 * np.eye(inner), atol=1e-14)
 
 
-def test_isometry_and_defect_structure(ops6):
-    t, isometry, defect = ops6.tree, ops6.isometry, ops6.defect
+def test_isometry_and_defect_structure(dense6):
+    t, isometry, defect = dense6.tree, dense6.isometry, dense6.defect
     inner = (1 << t.depth) - 1
     gram = isometry.conj().T @ isometry
     assert np.allclose(gram[:inner, :inner], np.eye(inner), atol=1e-14)
@@ -77,36 +84,43 @@ def test_isometry_and_defect_structure(ops6):
 
 @pytest.mark.parametrize("depth", range(1, 11))
 def test_defect_closed_form_is_the_dense_product(depth):
-    # the closed form reproduces 1 - L L* bit for bit, signed zeros included
+    # the closed form reproduces 1 - L L* bit for bit, signed zeros included,
+    # and the slabs are its interior columns of L and interior rows of E
     t = truncated_tree(depth)
     isometry = shift_matrix(t) / math.sqrt(2.0)
     dense_defect = np.eye(t.size, dtype=np.complex128) - isometry @ isometry.conj().T
+    dense = dense_tree_operators(t)
+    assert dense.defect.tobytes() == dense_defect.tobytes()
+    assert dense.isometry.tobytes() == isometry.tobytes()
+    m = (1 << (depth - 1)) - 1
     ops = tree_operators(t)
-    assert ops.defect.tobytes() == dense_defect.tobytes()
-    assert ops.isometry.tobytes() == isometry.tobytes()
+    assert ops.isometry.shape == (t.size, m) and ops.defect.shape == (m, t.size)
+    assert ops.isometry.tobytes() == isometry[:, :m].tobytes()
+    assert ops.defect.tobytes() == dense_defect[:m].tobytes()
 
 
-def test_tree_operators_real_entries(ops6):
-    for m in (shift_matrix(ops6.tree), ops6.isometry, ops6.defect):
+def test_tree_operators_real_entries(ops6, dense6):
+    for m in (shift_matrix(ops6.tree), ops6.isometry, ops6.defect,
+              dense6.isometry, dense6.defect):
         assert np.max(np.abs(m.imag)) == 0.0
 
 
 # --- symmetry ---------------------------------------------------------------------
 
-def test_symmetry_specializes_at_p_zero(ops6):
+def test_symmetry_specializes_at_p_zero(ops6, dense6):
     n = ops6.tree.size
-    m = int(interior_mask(ops6.tree).sum())
+    m = (1 << 5) - 1
     gamma = shift_symmetry(ops6.isometry, ops6.defect, 0.0, 1.0)
     assert np.array_equal(gamma[:m, :n], np.zeros((m, n)))
-    assert np.array_equal(gamma[:m, n:], ops6.isometry.conj().T[:m])
-    assert np.array_equal(gamma[m:, :n], ops6.isometry[:m])
-    assert np.array_equal(gamma[m:, n:], ops6.defect[:m])
+    assert np.array_equal(gamma[:m, n:], dense6.isometry.conj().T[:m])
+    assert np.array_equal(gamma[m:, :n], dense6.isometry[:m])
+    assert np.array_equal(gamma[m:, n:], dense6.defect[:m])
 
 
-def test_symmetry_squares_to_identity_on_interior(ops6):
+def test_symmetry_squares_to_identity_on_interior(ops6, dense6):
     rng = np.random.default_rng(12)
     n = ops6.tree.size
-    m = int(interior_mask(ops6.tree).sum())
+    m = (1 << 5) - 1
     for _ in range(5):
         angle = rng.uniform(0, np.pi)
         p = float(np.cos(angle))
@@ -116,7 +130,7 @@ def test_symmetry_squares_to_identity_on_interior(ops6):
         assert np.max(np.abs(residual)) < 1e-12, p
     block = gamma[:, np.r_[:m, n:n + m]]
     assert np.max(np.abs(block - block.conj().T)) < 1e-14  # self-adjoint
-    full = dense_symmetry(ops6.isometry, ops6.defect, p, q)
+    full = dense_symmetry(dense6.isometry, dense6.defect, p, q)
     assert np.max(np.abs(full - full.conj().T)) < 1e-14
 
 
@@ -130,14 +144,15 @@ def test_symmetry_degenerate_corner():
     # the involution form 2E - 1 of the defect projection, so the square of
     # the full involution is the identity on the whole truncation, not only
     # the interior
-    ops = tree_operators(truncated_tree(4))
-    n = ops.tree.size
-    gamma = dense_symmetry(ops.isometry, ops.defect, 1.0, 0.0)
+    dense = dense_tree_operators(truncated_tree(4))
+    n = dense.tree.size
+    gamma = dense_symmetry(dense.isometry, dense.defect, 1.0, 0.0)
     assert np.allclose(gamma[:n, :n], np.eye(n), atol=1e-14)
     assert np.max(np.abs(gamma[:n, n:])) == 0.0
     assert np.max(np.abs(gamma[n:, :n])) == 0.0
-    assert np.allclose(gamma[n:, n:], 2.0 * ops.defect - np.eye(n), atol=1e-14)
+    assert np.allclose(gamma[n:, n:], 2.0 * dense.defect - np.eye(n), atol=1e-14)
     assert np.max(np.abs(gamma @ gamma - np.eye(2 * n))) < 1e-14
+    ops = tree_operators(dense.tree)
     strip = shift_symmetry(ops.isometry, ops.defect, 1.0, 0.0)
     m = len(strip) // 2
     assert np.array_equal(strip, gamma[np.r_[:m, n:n + m]])
@@ -185,36 +200,35 @@ def test_routes_agree_for_random_specs(ops6):
         assert route_disagreement(bundle) < 1e-12
 
 
-def test_chirality_conjugation_route_matches_everywhere(ops6):
+def test_chirality_conjugation_route_matches_everywhere(dense6):
     # agreement is exact as matrices, not only on the interior: the
     # conjugation route on the dense skew part of the whole truncation
     rng = np.random.default_rng(2)
     w = random_walk_spec(rng)
-    bundle = build_bundle(w, 6, ops=ops6)
-    n = ops6.tree.size
-    skew = dense_skew(dense_symmetry(ops6.isometry, ops6.defect, w.p, w.q), bundle.a, bundle.b)
-    conj = conjugated_skew(skew, bundle.a, bundle.b)[n:, :n]
-    assert np.max(np.abs(chirality(bundle) - conj)) < 1e-12
+    a, b = coin_values(w, dense6.tree)
+    n = dense6.tree.size
+    skew = dense_skew(dense_symmetry(dense6.isometry, dense6.defect, w.p, w.q), a, b)
+    conj = conjugated_skew(skew, a, b)[n:, :n]
+    assert np.max(np.abs(chirality(w, dense6) - conj)) < 1e-12
 
 
-def test_constant_swap_walk_chirality_formula(ops6):
+def test_constant_swap_walk_chirality_formula(dense6):
     # (a, b) = (0, 1), (p, q) = (0, 1): the block collapses to L - L* + E
     w = WalkSpec.make(0.0, 1.0, [("", sphere_coeff(0.0))])
-    bundle = build_bundle(w, 6, ops=ops6)
-    expected = ops6.isometry - ops6.isometry.conj().T + ops6.defect
-    assert np.max(np.abs(chirality(bundle) - expected)) < 1e-14
+    expected = dense6.isometry - dense6.isometry.conj().T + dense6.defect
+    assert np.max(np.abs(chirality(w, dense6) - expected)) < 1e-14
 
 
-def test_p_zero_drops_scalar_term(ops6):
+def test_p_zero_drops_scalar_term(dense6):
     # at p = 0 the -2p|b| term vanishes: the block is unchanged when the
     # diagonal term is removed by hand
     rng = np.random.default_rng(14)
     w = random_walk_spec(rng, p_value=0.0)
-    bundle = build_bundle(w, 6, ops=ops6)
-    direct = chirality_direct(0.0, w.q, bundle.a, bundle.b, ops6.isometry, ops6.defect)
-    assert np.max(np.abs(chirality(bundle) - direct)) == 0.0
+    a, b = coin_values(w, dense6.tree)
+    direct = chirality_direct(0.0, w.q, a, b, dense6.isometry, dense6.defect)
+    assert np.max(np.abs(chirality(w, dense6) - direct)) == 0.0
     assert np.max(np.abs(np.diag(direct) - np.diag(direct - np.diag(
-        2 * 0.0 * np.abs(bundle.b))))) == 0.0
+        2 * 0.0 * np.abs(b))))) == 0.0
 
 
 def test_identities_random_specs(ops6):
@@ -230,18 +244,23 @@ def test_identities_random_specs(ops6):
 
 
 def test_bundle_holds_the_dense_interior():
-    # the strip and the interior skew part are the interior rows of the full
-    # symmetry and the interior block of the dense U - U*, bit for bit
+    # the coin data, the strip and the interior skew part are the interior
+    # entries of the full coin data, the interior rows of the full symmetry
+    # and the interior block of the dense U - U*, bit for bit
     rng = np.random.default_rng(16)
     for depth in range(2, 9):
         w = random_walk_spec(rng)
+        dense = dense_tree_operators(truncated_tree(depth))
         for rule in ("leftmost", "rightmost"):
             bundle = build_bundle(w, depth, rule=rule)
             n = bundle.tree.size
-            inner = np.flatnonzero(bundle.interior)
+            inner = np.flatnonzero([len(v) <= depth - 2 for v in bundle.tree.addresses])
             inner2 = np.concatenate([inner, n + inner])
-            gamma = dense_symmetry(bundle.isometry, bundle.defect, w.p, w.q)
-            skew = dense_skew(gamma, bundle.a, bundle.b)
+            a, b = coin_values(w, dense.tree, rule)
+            assert bundle.a.tobytes() == a[inner].tobytes(), (depth, rule)
+            assert bundle.b.tobytes() == b[inner].tobytes(), (depth, rule)
+            gamma = dense_symmetry(dense.isometry, dense.defect, w.p, w.q)
+            skew = dense_skew(gamma, a, b)
             assert bundle.symmetry.tobytes() == gamma[inner2].tobytes(), (depth, rule)
             assert bundle.skew.tobytes() == skew[np.ix_(inner2, inner2)].tobytes(), (depth, rule)
 
@@ -258,12 +277,12 @@ def test_truncation_monotonicity():
     # truncation: breadth-first indexing makes the restriction a leading block
     rng = np.random.default_rng(33)
     w = random_walk_spec(rng, max_level=2)
-    small = build_bundle(w, 5)
-    large = build_bundle(w, 6)
-    inner = np.flatnonzero(small.interior)
-    diff = chirality(small)[np.ix_(inner, inner)] - chirality(large)[np.ix_(inner, inner)]
+    small = dense_tree_operators(truncated_tree(5))
+    large = dense_tree_operators(truncated_tree(6))
+    inner = np.arange((1 << 4) - 1)
+    diff = chirality(w, small)[np.ix_(inner, inner)] - chirality(w, large)[np.ix_(inner, inner)]
     assert np.max(np.abs(diff)) < 1e-12
-    res_small = check_identities(small)
+    res_small = check_identities(build_bundle(w, 5))
     for name, value in res_small.items():
         assert value < 1e-12, name
 
@@ -284,12 +303,11 @@ def test_chirality_locality():
         ("0", sphere_coeff(0.5)), ("10", sphere_coeff(-0.4)), ("11", sphere_coeff(0.7))])
     changed = WalkSpec.make(0.3, np.sqrt(1 - 0.09), [
         ("0", sphere_coeff(0.5)), ("10", sphere_coeff(-0.4)), ("11", sphere_coeff(-0.8, 1.0))])
-    b1 = build_bundle(base, 5)
-    b2 = build_bundle(changed, 5)
-    t = b1.tree
+    dense = dense_tree_operators(truncated_tree(5))
+    t = dense.tree
     far = [i for i, v in enumerate(t.addresses) if v.startswith("00")]
     block = np.ix_(far, far)
-    c1, c2 = chirality(b1), chirality(b2)
+    c1, c2 = chirality(base, dense), chirality(changed, dense)
     assert np.array_equal(c1[block], c2[block])
     # and something does change under "11"
     near = [i for i, v in enumerate(t.addresses) if v.startswith("11")]
@@ -314,13 +332,27 @@ def test_bundle_dimensions(ops6):
     n = 2 ** 7 - 1
     m = 2 ** 5 - 1
     assert bundle.tree.size == n
-    assert bundle.isometry.shape == (n, n)
+    assert bundle.isometry.shape == (n, m)
+    assert bundle.defect.shape == (m, n)
+    assert bundle.a.shape == bundle.b.shape == (m,)
     assert bundle.symmetry.shape == (2 * m, 2 * n)
     assert bundle.skew.shape == (2 * m, 2 * m)
-    assert chirality(bundle).shape == (n, n)
-    assert bundle.interior.sum() == m
-    # the closed form selects the vertices of depth <= d - 2
-    assert np.array_equal(bundle.interior, [len(v) <= 4 for v in bundle.tree.addresses])
+    # the first m vertices are those of depth <= d - 2
+    assert [len(v) <= 4 for v in bundle.tree.addresses] == [i < m for i in range(n)]
+
+
+def test_check_holds_no_dense_square():
+    # the peak of building and checking a depth-9 bundle stays below 3.5
+    # n x n complex arrays (about 3.1 here; 4.6 when L and E were n x n)
+    w = random_walk_spec(np.random.default_rng(53))
+    n = truncated_tree(9).size
+    tracemalloc.start()
+    try:
+        check_identities(build_bundle(w, 9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 16 * n * n, peak / (16 * n * n)
 
 
 def test_build_bundle_rejects_mismatched_ops(ops6):
