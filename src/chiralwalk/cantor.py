@@ -6,15 +6,17 @@ of infinite bit sequences extending a finite prefix, and corresponds
 one-to-one with the subtree hanging below that prefix.  Measures of cylinders
 under the uniform product measure are exact dyadic rationals m / 2^n, so all
 uniform-measure pairings stay in exact integer arithmetic.  In sorted order a
-prefix comes right before the strings that extend it, so the cell of a prefix
-code holding a bit string is one bisection away (:func:`prefix_cell`).
+prefix comes right before the strings that extend it, so the cells of a
+prefix code holding any number of bit strings are one sorted search away
+(:func:`prefix_cell`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 from .tree import check_vertex
 
@@ -145,11 +147,16 @@ def cylinder_measure(m: ProductMeasure, c: Cylinder) -> Union[Dyadic, float]:
     return value
 
 
-def prefix_cell(prefixes: tuple[str, ...], bits: str) -> int | None:
-    """Index of the prefix that ``bits`` extends in the sorted prefix code
-    ``prefixes``, or None when ``bits`` extends none of them."""
-    i = bisect_right(prefixes, bits) - 1
-    return i if i >= 0 and bits.startswith(prefixes[i]) else None
+def prefix_cell(prefixes, codes) -> np.ndarray:
+    """Index of the prefix that each of ``codes`` extends in the sorted
+    complete prefix code ``prefixes`` (bit strings as ``str`` or ``bytes``).
+
+    Every code must be at least as long as the deepest prefix, so it extends
+    exactly one prefix; in sorted order a prefix comes right before the
+    strings that extend it, so that prefix is the last one not after the code.
+    """
+    return np.searchsorted(np.asarray(prefixes, dtype=bytes), np.asarray(codes, dtype=bytes),
+                           side="right") - 1
 
 
 def check_prefix_partition(prefixes: list[str]) -> None:
@@ -179,9 +186,6 @@ def refine_partition(cells: list[Cylinder], level: int) -> list[tuple[Cylinder, 
     if level > 30:
         raise ValueError(f"refusing to enumerate 2^{level} cylinders")
     cells = sorted(cells, key=lambda c: c.prefix)
-    prefixes = tuple(c.prefix for c in cells)
-    out = []
-    for i in range(1 << level):
-        p = format(i, f"0{level}b") if level else ""
-        out.append((Cylinder(p), cells[prefix_cell(prefixes, p)]))
-    return out
+    codes = [format(i, f"0{level}b") if level else "" for i in range(1 << level)]
+    owners = prefix_cell([c.prefix for c in cells], codes)
+    return [(Cylinder(p), cells[i]) for p, i in zip(codes, owners)]

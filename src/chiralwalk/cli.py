@@ -44,13 +44,16 @@ STATUS = "/proc/self/status"
 BASE_BYTES = 64e6    # interpreter, numpy and BLAS before the first dense array
 # peaks per unit of the 1-D inputs, measured with tracemalloc at 1e5-4e6 units
 # and rounded up: 72 B per circle sample (winding, sweep), 24 B per Monte Carlo
-# sample, 710 B per sweep row (with its loop), 32 B per range-grid value and
-# 48 B per unit of falk --trunc (the diagonals of its banded factors)
+# sample, 710 B per sweep row (with its loop), 32 B per range-grid value,
+# 48 B per unit of falk --trunc (the diagonals of its banded factors) and
+# 208 B per lattice site that onedim reads (its coefficient lists, the
+# chirality diagonals and the transfer matrices)
 CIRCLE_SAMPLE_BYTES = 80
 MC_SAMPLE_BYTES = 32
 ROW_BYTES = 800
 GRID_BYTES = 40
 TRUNC_BYTES = 56
+SITE_BYTES = 240
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,7 +103,10 @@ def _preflight(flag: str, nbytes: float) -> None:
     """Refuse, before any work, a call whose arrays of ``nbytes`` at their
     peak do not fit in the available memory or in what the soft
     address-space limit leaves above the process's size."""
-    need = BASE_BYTES + nbytes
+    try:
+        need = BASE_BYTES + nbytes
+    except OverflowError:     # an integer count beyond any float
+        need = math.inf
     available = _proc_bytes(MEMINFO, "MemAvailable")
     if available is not None and need > available:
         raise ValidationError(f"{flag} needs about {need / 1e9:.1f} GB of memory, "
@@ -246,10 +252,14 @@ def cmd_index(args) -> int:
 
 
 def cmd_onedim(args) -> int:
-    # the transfer count reads only the middle sites and three sites of each
-    # tail, so its memory grows with the input file, never with --halfwidth
+    # the transfer count reads every site from the lowest to the highest
+    # middle site and three sites of each tail beyond them, so its memory
+    # grows with the span of the middle, never with --halfwidth
     _positive("--tol", args.tol)
     spec = parse_line_walk(_read_text(args.walk))
+    support = [n for n, _ in spec.middle] + [0]
+    span = max(support) - min(support) + 1
+    _preflight(f"a middle spanning {span} sites", SITE_BYTES * span)
     try:
         bundle = build_line(spec, args.halfwidth)
         result = fredholm_index(bundle, tol=args.tol)

@@ -15,8 +15,9 @@ import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .cantor import Cylinder, Dyadic, ProductMeasure, cylinder_measure
+from .cantor import Cylinder, Dyadic, ProductMeasure, cylinder_measure, prefix_cell
 from .symbol import (SymbolLoop, agreed_windings, check_off_locus, winding_quadrature,
                      winding_residues)
 from .walk import SphereCoeff, WalkSpec
@@ -102,52 +103,28 @@ def s_index_exact(w: WalkSpec, m: ProductMeasure) -> IndexReport:
     )
 
 
-MC_BLOCK = 1 << 14   # uniforms drawn per block: bounds the decode's memory
+MC_BLOCK = 1 << 14   # scales the uniforms drawn per block, which bound the decode's memory
 
 
-def _cell_trie(prefixes: list[str]) -> np.ndarray:
-    """Child table of a complete prefix code's trie.
-
-    Row i is an internal node (row 0 the root), column the next bit; an entry
-    >= 0 is another internal node and ``~j`` is the leaf ``prefixes[j]``.
-    """
-    internal = sorted({p[:k] for p in prefixes for k in range(len(p))},
-                      key=lambda v: (len(v), v))
-    node = {v: i for i, v in enumerate(internal)}
-    leaf = {p: j for j, p in enumerate(prefixes)}
-    child = np.empty((len(internal), 2), dtype=np.intp)
-    for v, i in node.items():
-        for bit in (0, 1):
-            c = v + str(bit)
-            child[i, bit] = node[c] if c in node else ~leaf[c]
-    return child
-
-
-def _decode_starts(u: np.ndarray, child: np.ndarray, w0: np.ndarray):
+def _decode_starts(u: np.ndarray, prefixes: np.ndarray, lengths: np.ndarray, w0: np.ndarray):
     """Cell index and next start of the point starting at every position of
     ``u``, with a sentinel position ``len(u)``.
 
     Uniform ``u[s + k]`` is bit ``k`` of the point starting at ``s``: "0" when
-    below ``w0[k]``.  All starts descend the trie together, one level per
-    step.  A start whose code runs past the end of ``u``, and the sentinel,
-    keep cell -1 and are their own next start.
+    below ``w0[k]``.  Every start spells the code of its window of
+    ``len(w0)`` uniforms (padded past the end of ``u``) and all codes are
+    looked up at once.  A start whose cell runs past the end of ``u``, and the
+    sentinel, keep cell -1 and are their own next start.
     """
-    n = len(u)
-    cell = np.full(n + 1, -1, dtype=np.intp)
-    nxt = np.arange(n + 1)
+    n, level = len(u), len(w0)
+    windows = sliding_window_view(np.concatenate([u, np.zeros(level - 1)]), level)
+    codes = ((windows >= w0).view(np.uint8) + ord("0")).view(f"S{level}")[:, 0]
+    cell = prefix_cell(prefixes, codes)
     start = np.arange(n)
-    node = np.zeros(n, dtype=np.intp)
-    for k, threshold in enumerate(w0):
-        keep = np.searchsorted(start, n - k)  # starts whose bit k is in u
-        start, node = start[:keep], node[:keep]
-        node = child[node, (u[start + k] >= threshold).astype(np.intp)]
-        done = node < 0
-        cell[start[done]] = ~node[done]
-        nxt[start[done]] += k + 1
-        start, node = start[~done], node[~done]
-        if not start.size:
-            break
-    return cell, nxt
+    end = start + lengths[cell]
+    inside = end <= n
+    return (np.append(np.where(inside, cell, -1), -1),
+            np.append(np.where(inside, end, start), n))
 
 
 def _orbit(nxt: np.ndarray, count: int) -> np.ndarray:
@@ -175,17 +152,20 @@ def _sample_cells(prefixes: list[str], m: ProductMeasure, samples: int,
     next block.  Memory is bounded by the block, not by the number of samples
     times the code length.
     """
-    max_level = max(len(p) for p in prefixes)
+    lengths = np.array([len(p) for p in prefixes])
+    max_level = int(lengths.max())
     if max_level == 0:                        # one cell: the whole boundary
         return np.zeros(samples, dtype=np.intp)
-    child = _cell_trie(prefixes)
+    prefix_codes = np.array(prefixes, dtype=bytes)
     w0 = np.array([m.weight(k, "0") for k in range(1, max_level + 1)])
+    # the window codes of a block hold about MC_BLOCK * 16 bytes, and
+    # max_level**2 above level 512
+    block = max(MC_BLOCK * 16 // max(max_level, 16), max_level)
     chunks, remaining = [], samples
     u = np.empty(0)
     while remaining:
-        block = min(remaining * max_level, max(MC_BLOCK, max_level))
-        u = np.concatenate([u, rng.random(block)])
-        cell, nxt = _decode_starts(u, child, w0)
+        u = np.concatenate([u, rng.random(min(remaining * max_level, block))])
+        cell, nxt = _decode_starts(u, prefix_codes, lengths, w0)
         path = _orbit(nxt, min(remaining, len(u) + 1))  # a chain in u ends by then
         cells = cell[path]
         cut = np.flatnonzero(cells < 0)

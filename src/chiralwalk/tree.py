@@ -26,13 +26,13 @@ def check_vertex(v: str) -> str:
 class TruncatedTree:
     """Finite window of the binary tree: all vertices of depth <= depth.
 
-    ``addresses[i]`` is the vertex with breadth-first index ``i``;
-    ``parent_index[i]`` is the index of its parent (-1 for the root).
+    ``addresses[i]`` is the vertex with breadth-first index ``i``; breadth-first
+    and lexicographic within a level, so the parent of vertex ``i > 0`` is
+    ``(i - 1) // 2``.
     """
 
     depth: int
     addresses: tuple[str, ...]
-    parent_index: tuple[int, ...]
 
     @property
     def size(self) -> int:
@@ -48,7 +48,4 @@ def truncated_tree(d: int) -> TruncatedTree:
     for _ in range(d):
         level = [v + bit for v in level for bit in "01"]
         addresses.extend(level)
-    # breadth-first and lexicographic within a level, so vertex i's parent is
-    # (i - 1) // 2, which is -1 for the root
-    parent_index = tuple((i - 1) // 2 for i in range(len(addresses)))
-    return TruncatedTree(depth=d, addresses=tuple(addresses), parent_index=parent_index)
+    return TruncatedTree(depth=d, addresses=tuple(addresses))

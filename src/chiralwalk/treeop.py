@@ -31,9 +31,10 @@ from typing import NamedTuple
 import numpy as np
 from numpy import matmul
 
+from .cantor import prefix_cell
 from .linalg import diag_block_product, mul_diag_block_left, mul_diag_block_right
 from .tree import TruncatedTree, truncated_tree
-from .walk import WalkSpec, eval_vertex
+from .walk import WalkSpec
 
 
 class TreeOperators(NamedTuple):
@@ -61,7 +62,7 @@ def tree_operators(t: TruncatedTree) -> TreeOperators:
     r = 1.0 / math.sqrt(2.0)
     children = np.arange(1, 2 * m + 1)
     isometry = np.zeros((n, m), dtype=np.complex128)
-    isometry[children, np.asarray(t.parent_index)[children]] = r
+    isometry[children, (children - 1) // 2] = r
     defect = np.zeros((m, n), dtype=np.complex128)
     inner = np.arange(m)
     defect[inner, inner] = 1.0 - r * r
@@ -73,14 +74,24 @@ def tree_operators(t: TruncatedTree) -> TreeOperators:
 
 
 def coin_values(w: WalkSpec, t: TruncatedTree, rule: str = "leftmost"):
-    """Per-vertex coin data (a_v, b_v) as diagonal vectors in tree order."""
-    a = np.empty(t.size, dtype=float)
-    b = np.empty(t.size, dtype=np.complex128)
-    for i, v in enumerate(t.addresses):
-        coeff = eval_vertex(w, v, rule)
-        a[i] = coeff.a
-        b[i] = coeff.b
-    return a, b
+    """Per-vertex coin data (a_v, b_v) as diagonal vectors in tree order.
+
+    Vertices at or below the cell partition take their cell's value.  A
+    vertex above the partition takes the value at a boundary point of its
+    subtree: the all-zeros continuation under the default ``leftmost`` rule,
+    or the all-ones continuation under ``rightmost``.  Interior assignments
+    differ from each other by finitely many vertices only, so they never
+    affect boundary quantities; see the index-invariance tests.  A vertex at
+    or below its cell keeps it under any continuation, so one lookup of every
+    address filled to the deepest cell level serves every vertex.
+    """
+    fill = {"leftmost": "0", "rightmost": "1"}.get(rule)
+    if fill is None:
+        raise ValueError(f"unknown interior rule {rule!r}")
+    cell = prefix_cell(w.prefixes, np.char.ljust(np.array(t.addresses), w.max_level, fill))
+    a = np.array([coeff.a for _, coeff in w.cells])
+    b = np.array([coeff.b for _, coeff in w.cells], dtype=np.complex128)
+    return a[cell], b[cell]
 
 
 def coin_blocks(a: np.ndarray, b: np.ndarray):

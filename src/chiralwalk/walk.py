@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cantor import Cylinder, check_prefix_partition, prefix_cell
-from .tree import check_vertex
+from .cantor import check_prefix_partition
 
 A_MARGIN = 1e-6      # exclusion zone around |a| = 1 (conjugation divides by sqrt(1 -+ a))
 SPHERE_TOL = 1e-6    # accepted input deviation from the unit sphere
@@ -90,39 +89,6 @@ class WalkSpec:
         return max(map(len, self.prefixes))
 
 
-def eval_boundary(w: WalkSpec, c: Cylinder) -> SphereCoeff:
-    """Coefficient of the unique cell containing the cylinder ``c``.
-
-    The cylinder must be at least as fine as the cell partition; a coarser
-    cylinder straddles several cells and is rejected.
-    """
-    i = prefix_cell(w.prefixes, c.prefix)
-    if i is None:
-        raise ValidationError(
-            f"cylinder {c.prefix!r} is coarser than the cell partition; "
-            f"refine to level >= {w.max_level}")
-    return w.cells[i][1]
-
-
-def eval_vertex(w: WalkSpec, v: str, rule: str = "leftmost") -> SphereCoeff:
-    """Coefficient assigned to a tree vertex.
-
-    Vertices at or below the cell partition take their cell's value.  A
-    vertex above the partition takes the value at a boundary point of its
-    subtree: the all-zeros continuation under the default ``leftmost`` rule,
-    or the all-ones continuation under ``rightmost``.  Interior assignments
-    differ from each other by finitely many vertices only, so they never
-    affect boundary quantities; see the index-invariance tests.  A vertex at
-    or below its cell keeps it under any continuation, so one lookup of ``v``
-    filled to the deepest cell level serves every vertex.
-    """
-    check_vertex(v)
-    fill = {"leftmost": "0", "rightmost": "1"}.get(rule)
-    if fill is None:
-        raise ValueError(f"unknown interior rule {rule!r}")
-    return w.cells[prefix_cell(w.prefixes, v + fill * (w.max_level - len(v)))][1]
-
-
 # --- JSON formats -----------------------------------------------------------
 #
 # Tree walk:
@@ -161,9 +127,9 @@ def parse_walk(text: str) -> WalkSpec:
     """Parse and validate a tree-walk JSON document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:     # JSONDecodeError, or an integer past the digit limit
         raise ValidationError(f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or "cells" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("cells"), list):
         raise ValidationError("walk document must be an object with a 'cells' list")
     try:
         p = float(doc["p"])
@@ -172,7 +138,7 @@ def parse_walk(text: str) -> WalkSpec:
         raise ValidationError("walk document needs numeric 'p' and complex 'q'") from None
     cells = []
     for entry in doc["cells"]:
-        prefix = entry.get("prefix")
+        prefix = entry.get("prefix") if isinstance(entry, dict) else None
         if not isinstance(prefix, str):
             raise ValidationError(f"cell {entry!r} needs a string 'prefix'")
         cells.append((prefix, _coeff_from(entry, f"cell {prefix!r}")))
@@ -221,18 +187,20 @@ def line_coeff(spec: LineWalkSpec, n: int) -> SphereCoeff:
 def parse_line_walk(text: str) -> LineWalkSpec:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:     # JSONDecodeError, or an integer past the digit limit
         raise ValidationError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or "left" not in doc or "right" not in doc:
         raise ValidationError("line walk document needs 'left' and 'right' tails")
     left = _coeff_from(doc["left"], "left")
     right = _coeff_from(doc["right"], "right")
+    entries = doc.get("middle", [])
+    if not isinstance(entries, list):
+        raise ValidationError("line walk 'middle' must be a list of sites")
     middle = []
-    for entry in doc.get("middle", []):
-        try:
-            n = int(entry["n"])
-        except (KeyError, TypeError, ValueError):
-            raise ValidationError(f"middle entry {entry!r} needs an integer 'n'") from None
+    for entry in entries:
+        n = entry.get("n") if isinstance(entry, dict) else None
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValidationError(f"middle entry {entry!r} needs an integer 'n'")
         middle.append((n, _coeff_from(entry, f"middle site {n}")))
     return LineWalkSpec.make(left, right, middle)
 

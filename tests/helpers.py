@@ -26,7 +26,7 @@ def sphere_coeff(a: float, phase: float = 0.0) -> SphereCoeff:
 
 # --- the scanning prefix-code lookup ---------------------------------------
 #
-# The cell lookup as it was before ``cantor.prefix_cell`` bisected the sorted
+# The cell lookup as it was before ``cantor.prefix_cell`` searched the sorted
 # prefixes: a test of every pair for nesting, and a scan over every cell.
 
 
@@ -42,7 +42,8 @@ def scan_check_prefix_partition(prefixes: list[str]) -> None:
 
 
 def scan_eval_boundary(w: WalkSpec, c: Cylinder) -> SphereCoeff:
-    """Oracle for ``walk.eval_boundary``."""
+    """Coefficient of the cell holding the cylinder ``c``.  Oracle for the
+    cells that ``cantor.refine_partition`` pairs with its cylinders."""
     for prefix, coeff in w.cells:
         if c.prefix.startswith(prefix):
             return coeff
@@ -52,8 +53,9 @@ def scan_eval_boundary(w: WalkSpec, c: Cylinder) -> SphereCoeff:
 
 
 def scan_eval_vertex(w: WalkSpec, v: str, rule: str = "leftmost") -> SphereCoeff:
-    """Oracle for ``walk.eval_vertex``: a scan for the vertex's cell, then a
-    second scan for its all-zeros or all-ones continuation."""
+    """Coefficient of the tree vertex ``v``.  Oracle for ``treeop.coin_values``:
+    a scan for the vertex's cell, then a second scan for its all-zeros or
+    all-ones continuation."""
     check_vertex(v)
     for prefix, coeff in w.cells:
         if v.startswith(prefix):
@@ -87,12 +89,13 @@ def dense_falk_pairing(f_value: int, trunc: int) -> float:
 def shift_matrix(t) -> np.ndarray:
     """The dense tree shift of a truncated tree: (S f)(v) = f(parent(v)),
     with a zero root row.  Oracle for :func:`dense_tree_operators`, which
-    writes S / sqrt(2) in place."""
+    writes S / sqrt(2) in place at the breadth-first parent (i - 1) // 2; this
+    one finds each parent from its address instead."""
     n = t.size
+    index = {v: i for i, v in enumerate(t.addresses)}
     s = np.zeros((n, n), dtype=np.complex128)
-    for child, par in enumerate(t.parent_index):
-        if par >= 0:
-            s[child, par] = 1.0
+    for child, v in enumerate(t.addresses[1:], start=1):
+        s[child, index[v[:-1]]] = 1.0
     return s
 
 
@@ -106,7 +109,7 @@ def dense_tree_operators(t) -> TreeOperators:
     # S / sqrt(2) written in place, r at (child, parent): the bytes of the
     # quotient without a second n x n array
     isometry = np.zeros((n, n), dtype=np.complex128)
-    isometry[below, np.asarray(t.parent_index[1:])] = r
+    isometry[below, (below - 1) // 2] = r
     defect = np.zeros((n, n), dtype=np.complex128)
     defect[below, below] = 1.0 - r * r
     defect[0, 0] = 1.0

@@ -279,7 +279,9 @@ def meminfo(tmp_path, monkeypatch):
     # arrays of 17 GB (check) and 11 GB (falk), against 6 GB available
     ["check", "--depth", "13"],
     ["falk", "--f-value", "1", "--trunc", "200000000"],
-], ids=" ".join)
+    # a count whose byte size overflows a float
+    ["winding", "--a", "0.5", "--samples", "1" + "0" * 400],
+], ids=lambda argv: " ".join(argv)[:80])
 def test_invalid_arguments_exit_3_before_work(capsys, meminfo, walk_file, line_file, argv):
     meminfo(6_000_000)
     if argv[0] in ("index", "check"):
@@ -303,14 +305,30 @@ def test_invalid_arguments_exit_3_before_work(capsys, meminfo, walk_file, line_f
     ("left-b", ["onedim"]),
     ("prefix", ["index", "--mode", "exact"]), ("prefix", ["index", "--mode", "mc"]),
     ("prefix", ["check"]),
+    *((field, argv) for field in ("cells", "cell")
+      for argv in (["index", "--mode", "exact"], ["index", "--mode", "mc"], ["check"])),
+    ("middle", ["onedim"]), ("n", ["onedim"]), ("n-huge", ["onedim"]),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_non_finite_walk_file_exits_3_before_work(capsys, tmp_path, walk_file, line_file,
                                                   field, argv):
     # a NaN in a tree walk's first cell a or its p, or in a line walk's left
     # tail; or a finite b.re = 1e200 there, whose norm overflows; or a tree
-    # walk cell whose prefix is not a bit string
-    doc = json.loads(Path(line_file if field.startswith("left") else walk_file).read_text())
-    if field == "a":
+    # walk cell whose prefix is not a bit string; or tree cells that are not a
+    # list of objects, a line middle that is not a list, or a middle site
+    # whose n is not an integer or lies far beyond --halfwidth
+    line = field.startswith(("left", "middle", "n"))
+    doc = json.loads(Path(line_file if line else walk_file).read_text())
+    if field == "cells":
+        doc["cells"] = 5
+    elif field == "cell":
+        doc["cells"] = ["x"]
+    elif field == "middle":
+        doc["middle"] = 5
+    elif field == "n":
+        doc["middle"] = [dict(doc["middle"][0], n=1.5)]   # once read as site 1
+    elif field == "n-huge":
+        doc["middle"] = [dict(doc["middle"][0], n=10 ** 400)]
+    elif field == "a":
         doc["cells"][0]["a"] = float("nan")
     elif field == "p":
         doc["p"] = float("nan")
@@ -326,6 +344,22 @@ def test_non_finite_walk_file_exits_3_before_work(capsys, tmp_path, walk_file, l
     assert code == 3
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_onedim_preflights_the_span_of_the_middle(capsys, meminfo, tmp_path):
+    # two middle sites 1M apart: the transfer count would read every site
+    # between them, about 210 MB, against 100 MB available
+    spec = LineWalkSpec.make(sphere_coeff(0.9), sphere_coeff(0.3),
+                             [(-500_000, sphere_coeff(0.8)), (500_000, sphere_coeff(0.4))])
+    path = tmp_path / "wide.json"
+    path.write_text(line_walk_to_json(spec))
+    meminfo(100_000)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "onedim", "--walk", str(path), "--halfwidth", "2000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("error: a middle spanning 1000001 sites needs about")
+    assert len(err.splitlines()) == 1
 
 
 def test_preflight_reads_mem_available(capsys, meminfo, tmp_path, monkeypatch, walk_file):

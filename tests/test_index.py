@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,20 @@ def test_mc_block_boundaries_keep_the_stream(monkeypatch):
         for m in MEASURES:
             assert (s_index_montecarlo(w, m, 700, seed=5).to_json()
                     == reference_montecarlo(w, m, 700, seed=5).to_json())
+
+
+def test_mc_decode_memory_stays_bounded_on_a_deep_comb():
+    # at level 2000 a block draws 2000 uniforms, whose window codes hold
+    # about 4 MB (peak about 13 MB); a block of 16384 uniforms, the size a
+    # shallow walk draws, would hold 33 MB of codes at this level
+    w = comb_walk(2000)
+    tracemalloc.start()
+    try:
+        s_index_montecarlo(w, ProductMeasure.uniform(), 20_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, peak
 
 
 def test_mc_within_three_stderr_battery():

@@ -35,11 +35,9 @@ def test_breadth_first_indexing():
 
 
 def test_parent_index_consistency():
+    # breadth-first order puts the parent of vertex i > 0 at (i - 1) // 2
     t = truncated_tree(3)
-    for i, v in enumerate(t.addresses):
-        if v == ROOT:
-            assert t.parent_index[i] == -1
-        else:
-            assert t.parent_index[i] == (i - 1) // 2
-            assert t.addresses[t.parent_index[i]] == v[:-1]
+    assert t.addresses[0] == ROOT
+    for i, v in enumerate(t.addresses[1:], start=1):
+        assert t.addresses[(i - 1) // 2] == v[:-1]
 

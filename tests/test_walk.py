@@ -4,12 +4,12 @@ import time
 import numpy as np
 import pytest
 
-from chiralwalk.cantor import Cylinder, ProductMeasure
+from chiralwalk.cantor import Cylinder, ProductMeasure, refine_partition
 from chiralwalk.index import s_index_exact
 from chiralwalk.tree import truncated_tree
+from chiralwalk.treeop import coin_values
 from chiralwalk.walk import (LineWalkSpec, SphereCoeff, ValidationError, WalkSpec,
-                             eval_boundary, eval_vertex, line_coeff,
-                             line_walk_to_json, parse_line_walk, parse_walk,
+                             line_coeff, line_walk_to_json, parse_line_walk, parse_walk,
                              walk_to_json)
 from helpers import (random_partition, random_walk_spec, scan_eval_boundary,
                      scan_eval_vertex, sphere_coeff)
@@ -50,41 +50,30 @@ def test_walkspec_normalizes_pq():
         WalkSpec.make(0.9, 0.9, [("", sphere_coeff(0.5))])
 
 
-def test_eval_boundary_examples():
-    a, b = sphere_coeff(0.5), sphere_coeff(-0.5)
-    w = WalkSpec.make(0.0, 1.0, [("0", a), ("1", b)])
-    assert eval_boundary(w, Cylinder("01")) == a
-    assert eval_boundary(w, Cylinder("1101")) == b
-    constant = WalkSpec.make(0.0, 1.0, [("", a)])
-    assert eval_boundary(constant, Cylinder("1101")) == a
-    with pytest.raises(ValidationError, match="coarser"):
-        eval_boundary(w, Cylinder(""))
-
-
-def test_eval_boundary_refinement_invariant():
-    rng = np.random.default_rng(8)
-    w = random_walk_spec(rng)
-    for prefix, coeff in w.cells:
-        for extension in ("0", "11", "010"):
-            assert eval_boundary(w, Cylinder(prefix + extension)) == coeff
+def coin_at(w: WalkSpec, v: str, rule: str = "leftmost") -> tuple[float, complex]:
+    """The coin data (a, b) that ``treeop.coin_values`` gives the vertex v."""
+    t = truncated_tree(max(len(v), 1))
+    a, b = coin_values(w, t, rule)
+    i = t.addresses.index(v)
+    return a[i], b[i]
 
 
 def test_eval_vertex_at_or_below_cells():
     a, b = sphere_coeff(0.5), sphere_coeff(-0.5)
     w = WalkSpec.make(0.0, 1.0, [("0", a), ("1", b)])
-    assert eval_vertex(w, "011") == a
+    assert coin_at(w, "011") == (a.a, a.b)
     constant = WalkSpec.make(0.0, 1.0, [("", a)])
-    assert eval_vertex(constant, "") == a
+    assert coin_at(constant, "") == (a.a, a.b)
 
 
 def test_eval_vertex_shallow_leftmost_rule():
     a, b, c = sphere_coeff(0.3), sphere_coeff(0.6), sphere_coeff(-0.6)
     w = WalkSpec.make(0.0, 1.0, [("00", a), ("01", b), ("1", c)])
     # "0" continues as "00..." under the leftmost rule
-    assert eval_vertex(w, "0") == a
-    assert eval_vertex(w, "0", rule="rightmost") == b
-    assert eval_vertex(w, "") == a
-    assert eval_vertex(w, "", rule="rightmost") == c
+    assert coin_at(w, "0") == (a.a, a.b)
+    assert coin_at(w, "0", rule="rightmost") == (b.a, b.b)
+    assert coin_at(w, "") == (a.a, a.b)
+    assert coin_at(w, "", rule="rightmost") == (c.a, c.b)
 
 
 def test_eval_vertex_constant_on_cell_subtrees():
@@ -94,7 +83,7 @@ def test_eval_vertex_constant_on_cell_subtrees():
     for prefix, coeff in w.cells:
         pad = prefix + "0" * (level - len(prefix))
         for tail in ("", "0", "1", "01"):
-            assert eval_vertex(w, pad + tail) == coeff
+            assert coin_at(w, pad + tail) == (coeff.a, coeff.b)
 
 
 def _lookup_walks():
@@ -110,19 +99,19 @@ def _lookup_walks():
 
 
 def test_lookup_matches_the_scan():
-    vertices = truncated_tree(8).addresses
+    # the vertex lookup of coin_values on every vertex to depth 8, and the
+    # boundary lookup of refine_partition on every level-8 cylinder
+    t = truncated_tree(8)
     for w in _lookup_walks():
-        for v in vertices:
-            for rule in ("leftmost", "rightmost"):
-                assert eval_vertex(w, v, rule) is scan_eval_vertex(w, v, rule), (w.prefixes, v)
-            try:
-                expected = scan_eval_boundary(w, Cylinder(v))
-            except ValidationError as exc:
-                with pytest.raises(ValidationError) as err:
-                    eval_boundary(w, Cylinder(v))
-                assert str(err.value) == str(exc)
-            else:
-                assert eval_boundary(w, Cylinder(v)) is expected
+        for rule in ("leftmost", "rightmost"):
+            a, b = coin_values(w, t, rule)
+            expected = [scan_eval_vertex(w, v, rule) for v in t.addresses]
+            assert a.tolist() == [c.a for c in expected], (w.prefixes, rule)
+            assert b.tolist() == [c.b for c in expected], (w.prefixes, rule)
+        if w.max_level <= 8:
+            coeffs = dict(w.cells)
+            for cylinder, cell in refine_partition([Cylinder(p) for p in w.prefixes], 8):
+                assert coeffs[cell.prefix] is scan_eval_boundary(w, cylinder), w.prefixes
 
 
 def test_eval_vertex_rejects_an_unknown_rule_everywhere():
@@ -130,9 +119,9 @@ def test_eval_vertex_rejects_an_unknown_rule_everywhere():
     w = WalkSpec.make(0.0, 1.0, [("00", a), ("01", b), ("1", c)])
     # the scan raised only above the partition, and answered below it
     assert scan_eval_vertex(w, "1", rule="middle") == c
-    for v in truncated_tree(4).addresses:
+    for depth in range(1, 5):
         with pytest.raises(ValueError, match="unknown interior rule"):
-            eval_vertex(w, v, rule="middle")
+            coin_values(w, truncated_tree(depth), rule="middle")
 
 
 def test_level_14_code_parses_and_indexes_fast():
@@ -170,6 +159,10 @@ def test_parse_rejects_garbage():
         parse_walk("{nope")
     with pytest.raises(ValidationError, match="cells"):
         parse_walk("{}")
+    # past the interpreter's limit on integer digits
+    for parse in (parse_walk, parse_line_walk):
+        with pytest.raises(ValidationError, match="JSON"):
+            parse('{"p": 1' + "0" * 5000 + "}")
 
 
 def test_roundtrip_exact():
