@@ -46,8 +46,8 @@ BASE_BYTES = 64e6    # interpreter, numpy and BLAS before the first dense array
 # and rounded up: 72 B per circle sample (winding, sweep), 24 B per Monte Carlo
 # sample, 710 B per sweep row (with its loop), 32 B per range-grid value,
 # 48 B per unit of falk --trunc (the diagonals of its banded factors) and
-# 208 B per lattice site that onedim reads (its coefficient lists, the
-# chirality diagonals and the transfer matrices)
+# 208 B per lattice site that onedim reads (the bundle's coefficient arrays,
+# the chirality diagonals and the transfer matrices)
 CIRCLE_SAMPLE_BYTES = 80
 MC_SAMPLE_BYTES = 32
 ROW_BYTES = 800
@@ -272,6 +272,9 @@ def cmd_onedim(args) -> int:
 def cmd_falk(args) -> int:
     _at_least("--trunc", args.trunc, FALK_MIN_TRUNC)
     _preflight(f"--trunc {args.trunc}", TRUNC_BYTES * args.trunc)
+    if (args.f_value is None) == (args.cylinder is None):
+        raise ValidationError("need either --f-value or --cylinder"
+                              + (", not both" if args.cylinder is not None else ""))
     if args.cylinder is not None:
         cylinder = _parse_cylinder(args.cylinder)
         measure = _parse_measure(args.measure)
@@ -279,8 +282,6 @@ def cmd_falk(args) -> int:
         doc = {"cylinder": args.cylinder, "measure": args.measure,
                "trunc": args.trunc, "pairing": value}
     else:
-        if args.f_value is None:
-            raise ValidationError("need either --f-value or --cylinder")
         value = falk_pairing(args.f_value, args.trunc)
         doc = {"f": args.f_value, "trunc": args.trunc, "pairing": value}
     _write_out(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)

@@ -26,7 +26,7 @@ import numpy as np
 from .index import classify_point
 from .symbol import on_locus
 from .treeop import conjugator_blocks
-from .walk import LineWalkSpec, line_coeff
+from .walk import LineWalkSpec
 
 CRITICAL = 1.0 / math.sqrt(2.0)
 TAIL_GAP = 0.05          # required distance of |a(tails)| from 1/sqrt(2)
@@ -41,10 +41,9 @@ class InconclusiveIndexError(RuntimeError):
 @dataclass
 class LineBundle:
     """Per-site coin data ``a`` and ``b`` of one line walk on the sites the
-    transfer matrices read: the middle, the sites -1 and 0 where the tails
-    meet, and ``TAIL_SITES`` sites of each tail beyond them."""
+    transfer matrices read: the middle, sites -1 and 0, and ``TAIL_SITES``
+    tail sites at each end, so ``a[0]`` and ``a[-1]`` are the tail values."""
 
-    spec: LineWalkSpec
     sites: np.ndarray
     a: np.ndarray
     b: np.ndarray
@@ -63,10 +62,12 @@ def build_line(spec: LineWalkSpec, halfwidth: int) -> LineBundle:
         raise ValueError(
             f"middle support {min(support)}..{max(support)} exceeds halfwidth/2 = {halfwidth / 2}")
     sites = np.arange(min(support + [0]) - TAIL_SITES, max(support + [0]) + TAIL_SITES + 1)
-    coeffs = [line_coeff(spec, int(n)) for n in sites]
-    a = np.array([c.a for c in coeffs])
-    b = np.array([c.b for c in coeffs], dtype=np.complex128)
-    return LineBundle(spec=spec, sites=sites, a=a, b=b)
+    a = np.where(sites < 0, spec.left.a, spec.right.a)
+    b = np.where(sites < 0, spec.left.b, spec.right.b)
+    middle = np.array(support, dtype=np.int64) - sites[0]    # an index even when empty
+    a[middle] = [c.a for _, c in spec.middle]
+    b[middle] = [c.b for _, c in spec.middle]
+    return LineBundle(sites=sites, a=a, b=b)
 
 
 def chirality_map(bundle: LineBundle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -103,16 +104,16 @@ class LineIndexResult:
         return asdict(self)
 
 
-def _decaying(t: np.ndarray, grow: bool) -> tuple[np.ndarray, float]:
-    """Basis (as columns) of the span of the eigenvectors of ``t`` with
-    |lambda| > 1 (``grow``) or < 1, and min ||lambda| - 1|.  The two moduli
-    differ whenever one eigenvector is kept, so that one is well defined."""
+def _decaying(t: np.ndarray, grow: bool) -> tuple[int, np.ndarray | None, float]:
+    """The number of eigenvalues of ``t`` with |lambda| > 1 (``grow``) or < 1,
+    the eigenvector when there is one (else None), and min ||lambda| - 1|.
+    The two moduli differ whenever one is kept, so its line is well defined."""
     lam, vecs = np.linalg.eig(t)
     moduli = np.abs(lam)
     keep = moduli > 1.0 if grow else moduli < 1.0
     count = int(keep.sum())
-    basis = vecs[:, keep] if count == 1 else np.eye(2)[:, :count]
-    return basis, float(np.min(np.abs(moduli - 1.0)))
+    line = vecs[:, keep][:, 0] if count == 1 else None
+    return count, line, float(np.min(np.abs(moduli - 1.0)))
 
 
 def _null_count(sub, diag, sup, tol: float):
@@ -129,16 +130,14 @@ def _null_count(sub, diag, sup, tol: float):
     transfer[:, 0, 1] = 1.0
     transfer[:, 1, 0] = -sub[:-1] / sup[1:]
     transfer[:, 1, 1] = -diag[1:-1] / sup[1:]
-    left, left_margin = _decaying(transfer[0], grow=True)
-    right, right_margin = _decaying(transfer[-1], grow=False)
+    left, x, left_margin = _decaying(transfer[0], grow=True)
+    right, y, right_margin = _decaying(transfer[-1], grow=False)
     margins = (left_margin, right_margin)
-    if left.shape[1] != 1 or right.shape[1] != 1:
-        return max(left.shape[1] + right.shape[1] - 2, 0), None, margins
-    x = left[:, 0]
+    if left != 1 or right != 1:
+        return max(left + right - 2, 0), None, margins
     for t in transfer:
         x = t @ x
         x /= np.linalg.norm(x)
-    y = right[:, 0]
     sine = float(abs(x[0] * y[1] - x[1] * y[0]))
     if tol < sine < AMBIGUOUS_FACTOR * tol:
         raise InconclusiveIndexError(
@@ -154,8 +153,8 @@ def fredholm_index(bundle: LineBundle, tol: float = 1e-8) -> LineIndexResult:
     most ``tol``; a sine inside (tol, 100 tol) is inconclusive.  The index must
     equal the winding of the left tail minus that of the right tail.
     """
-    spec = bundle.spec
-    for side, value in (("left", spec.left.a), ("right", spec.right.a)):
+    tails = bundle.a[0], bundle.a[-1]
+    for side, value in zip(("left", "right"), tails):
         if on_locus(value, CRITICAL, TAIL_GAP):
             raise ValueError(
                 f"{side} tail |a| = {abs(value):.4f} within {TAIL_GAP} of 1/sqrt(2); "
@@ -164,10 +163,10 @@ def fredholm_index(bundle: LineBundle, tol: float = 1e-8) -> LineIndexResult:
     kernel, kernel_sine, margins = _null_count(sub, diag, sup, tol)
     cokernel, cokernel_sine, _ = _null_count(np.conj(sup), np.conj(diag), np.conj(sub), tol)
     index = kernel - cokernel
-    tails = classify_point(spec.left.a, CRITICAL) - classify_point(spec.right.a, CRITICAL)
-    if index != tails:
+    windings = classify_point(tails[0], CRITICAL) - classify_point(tails[1], CRITICAL)
+    if index != windings:
         raise InconclusiveIndexError(
-            f"transfer counts give index {index}, the tail windings {tails}")
+            f"transfer counts give index {index}, the tail windings {windings}")
     return LineIndexResult(
         index=index,
         kernel_kept=kernel,

@@ -100,10 +100,17 @@ class WalkSpec:
 #     "middle": [ {"n": <int>, "a": ., "b": {"re":., "im":.}}, ... ] }
 
 
+def _real(x) -> float:
+    """A JSON number as a float (a string or a boolean is a TypeError)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"{x!r} is not a JSON number")
+    return float(x)
+
+
 def _complex_from(obj, what: str) -> complex:
     try:
-        return complex(float(obj["re"]), float(obj["im"]))
-    except (TypeError, KeyError, ValueError):
+        return complex(_real(obj["re"]), _real(obj["im"]))
+    except (TypeError, KeyError, ValueError, OverflowError):
         raise ValidationError(f"{what} must be an object with 're' and 'im'") from None
 
 
@@ -113,9 +120,9 @@ def _complex_to(z: complex) -> dict:
 
 def _coeff_from(obj, what: str) -> SphereCoeff:
     try:
-        a = float(obj["a"])
+        a = _real(obj["a"])
         b = _complex_from(obj["b"], f"{what}.b")
-    except (TypeError, KeyError, ValueError):
+    except (TypeError, KeyError, ValueError, OverflowError):
         raise ValidationError(f"{what} must carry numeric 'a' and complex 'b'") from None
     try:
         return SphereCoeff.make(a, b)
@@ -132,9 +139,9 @@ def parse_walk(text: str) -> WalkSpec:
     if not isinstance(doc, dict) or not isinstance(doc.get("cells"), list):
         raise ValidationError("walk document must be an object with a 'cells' list")
     try:
-        p = float(doc["p"])
+        p = _real(doc["p"])
         q = _complex_from(doc["q"], "q")
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise ValidationError("walk document needs numeric 'p' and complex 'q'") from None
     cells = []
     for entry in doc["cells"]:
@@ -174,14 +181,6 @@ class LineWalkSpec:
         if len(set(positions)) != len(positions):
             raise ValidationError(f"duplicate middle positions: {positions}")
         return LineWalkSpec(left, right, tuple(items))
-
-    @cached_property
-    def by_site(self) -> dict[int, SphereCoeff]:
-        return dict(self.middle)
-
-
-def line_coeff(spec: LineWalkSpec, n: int) -> SphereCoeff:
-    return spec.by_site.get(n, spec.left if n < 0 else spec.right)
 
 
 def parse_line_walk(text: str) -> LineWalkSpec:

@@ -2,7 +2,7 @@
 prefix-code lookup of ``chiralwalk.cantor``, the dense full-truncation tree
 route that witnesses the interior slabs and bundle of ``chiralwalk.treeop``,
 the dense Falk trace that witnesses ``chiralwalk.symbol.falk_pairing``, and
-the dense lattice route that witnesses ``chiralwalk.onedim``."""
+the per-site lookup and dense lattice route that witness ``chiralwalk.onedim``."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from chiralwalk.onedim import CRITICAL, TAIL_GAP
 from chiralwalk.symbol import unilateral_shift
 from chiralwalk.tree import check_vertex
 from chiralwalk.treeop import TreeOperators, coin_blocks
-from chiralwalk.walk import LineWalkSpec, SphereCoeff, ValidationError, WalkSpec, line_coeff
+from chiralwalk.walk import LineWalkSpec, SphereCoeff, ValidationError, WalkSpec
 
 
 def sphere_coeff(a: float, phase: float = 0.0) -> SphereCoeff:
@@ -242,6 +242,14 @@ class DenseLineBundle:
     skew: np.ndarray
 
 
+def site_coeffs(spec: LineWalkSpec, sites) -> tuple[np.ndarray, np.ndarray]:
+    """Per-site ``a`` and ``b`` by a scalar lookup: a middle entry where one
+    is listed, else the left tail for n < 0 and the right tail for n >= 0."""
+    by_site = dict(spec.middle)
+    coeffs = [by_site.get(int(n), spec.left if n < 0 else spec.right) for n in sites]
+    return np.array([c.a for c in coeffs]), np.array([c.b for c in coeffs], dtype=np.complex128)
+
+
 def dense_build_line(spec: LineWalkSpec, halfwidth: int) -> DenseLineBundle:
     """Operators on sites -N..N (dimension 2(2N+1) for the block operators)."""
     n_sites = 2 * halfwidth + 1
@@ -252,9 +260,7 @@ def dense_build_line(spec: LineWalkSpec, halfwidth: int) -> DenseLineBundle:
         raise ValueError(
             f"middle support {min(support)}..{max(support)} exceeds halfwidth/2 = {halfwidth / 2}")
     sites = np.arange(-halfwidth, halfwidth + 1)
-    coeffs = [line_coeff(spec, int(n)) for n in sites]
-    a = np.array([c.a for c in coeffs])
-    b = np.array([c.b for c in coeffs], dtype=np.complex128)
+    a, b = site_coeffs(spec, sites)
 
     shift = np.zeros((n_sites, n_sites), dtype=np.complex128)
     idx = np.arange(n_sites - 1)

@@ -275,6 +275,8 @@ def meminfo(tmp_path, monkeypatch):
     ["check", "--depth", "0"],
     ["check", "--depth", "21"],
     ["onedim", "--halfwidth", "1"],
+    ["falk", "--f-value", "0", "--cylinder", "0"],
+    ["falk"],
     *([cmd, "--tol", tol] for cmd in ("check", "onedim") for tol in ("nan", "inf", "-1", "0")),
     # arrays of 17 GB (check) and 11 GB (falk), against 6 GB available
     ["check", "--depth", "13"],
@@ -296,6 +298,16 @@ def test_invalid_arguments_exit_3_before_work(capsys, meminfo, walk_file, line_f
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+# where each number of the two walk formats sits in the fixtures' files
+NUMBER_FIELDS = {
+    "p": ("p",), "q.im": ("q", "im"), "a": ("cells", 0, "a"), "b.im": ("cells", 0, "b", "im"),
+    "left.a": ("left", "a"), "left.b.im": ("left", "b", "im"), "middle.a": ("middle", 0, "a"),
+}
+# a boolean only where the value is 0, so that it reads as the same number
+NOT_NUMBERS = [(name, kind) for name in NUMBER_FIELDS for kind in ("huge", "str")] + [
+    (name, "bool") for name in ("q.im", "b.im", "left.b.im")]
+
+
 @pytest.mark.parametrize("field,argv", [
     ("a", ["index", "--mode", "exact"]), ("p", ["index", "--mode", "exact"]),
     ("a", ["index", "--mode", "mc"]), ("p", ["index", "--mode", "mc"]),
@@ -308,6 +320,9 @@ def test_invalid_arguments_exit_3_before_work(capsys, meminfo, walk_file, line_f
     *((field, argv) for field in ("cells", "cell")
       for argv in (["index", "--mode", "exact"], ["index", "--mode", "mc"], ["check"])),
     ("middle", ["onedim"]), ("n", ["onedim"]), ("n-huge", ["onedim"]),
+    *((f"{name}={kind}", argv) for name, kind in NOT_NUMBERS
+      for argv in ((["onedim"],) if name.startswith(("left", "middle"))
+                   else (["index", "--mode", "exact"], ["check"]))),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_non_finite_walk_file_exits_3_before_work(capsys, tmp_path, walk_file, line_file,
                                                   field, argv):
@@ -315,10 +330,19 @@ def test_non_finite_walk_file_exits_3_before_work(capsys, tmp_path, walk_file, l
     # tail; or a finite b.re = 1e200 there, whose norm overflows; or a tree
     # walk cell whose prefix is not a bit string; or tree cells that are not a
     # list of objects, a line middle that is not a list, or a middle site
-    # whose n is not an integer or lies far beyond --halfwidth
+    # whose n is not an integer or lies far beyond --halfwidth; or a number
+    # field that holds an integer beyond any float, or the string or boolean
+    # that reads as its value
     line = field.startswith(("left", "middle", "n"))
     doc = json.loads(Path(line_file if line else walk_file).read_text())
-    if field == "cells":
+    if "=" in field:
+        name, kind = field.split("=")
+        *path, key = NUMBER_FIELDS[name]
+        parent = doc
+        for step in path:
+            parent = parent[step]
+        parent[key] = {"huge": 10 ** 400, "str": str(parent[key]), "bool": bool(parent[key])}[kind]
+    elif field == "cells":
         doc["cells"] = 5
     elif field == "cell":
         doc["cells"] = ["x"]

@@ -8,7 +8,7 @@ from chiralwalk.onedim import (InconclusiveIndexError, build_line,
                                chirality_map, fredholm_index)
 from chiralwalk.walk import LineWalkSpec
 from helpers import (InconclusiveTruncationError, dense_build_line,
-                     dense_chirality_map, dense_fredholm_index, sphere_coeff)
+                     dense_chirality_map, dense_fredholm_index, site_coeffs, sphere_coeff)
 
 
 def wall_spec(a_left, a_right, ramp=5):
@@ -301,3 +301,39 @@ def test_build_line_on_16000_middle_sites_is_fast():
     assert bundle.a[inside].tolist() == [c.a for _, c in middle]
     assert set(bundle.a[bundle.sites < -8000]) == {spec.left.a}
     assert set(bundle.a[bundle.sites >= 8000]) == {spec.right.a}
+    # a two-site wall spanning 1M sites: every site between is a tail value
+    ends = [(-500_000, sphere_coeff(0.5, 1.0)), (499_999, sphere_coeff(-0.4, 2.0))]
+    spec = LineWalkSpec.make(sphere_coeff(0.9, 0.5), sphere_coeff(0.3, 1.5), ends)
+    start = time.perf_counter()
+    bundle = build_line(spec, 1_000_000)
+    assert time.perf_counter() - start < 0.2
+    assert len(bundle.sites) == 1_000_000 + 2 * onedim.TAIL_SITES
+    assert (bundle.a[0], bundle.b[-1]) == (spec.left.a, spec.right.b)
+    assert (bundle.a[3], bundle.a[-4]) == (ends[0][1].a, ends[1][1].a)
+    assert set(bundle.b[4:500_003]) == {spec.left.b}
+    assert set(bundle.b[500_003:-4]) == {spec.right.b}
+
+
+def test_build_line_is_the_per_site_lookup():
+    # the sliced fill equals a scalar lookup of every site byte for byte,
+    # with the empty middle, a middle at site 0 and one at +-halfwidth/2
+    rng = np.random.default_rng(21)
+
+    def coeff():
+        return sphere_coeff(float(rng.uniform(-0.95, 0.95)), float(rng.uniform(0, 2 * np.pi)))
+
+    walls = [(10, []), (10, [0]), (10, [-5]), (10, [5]), (40, [-20, 20]), (3, [-1, 0, 1])]
+    for _ in range(300):
+        halfwidth = int(rng.integers(2, 200))
+        reach = halfwidth // 2
+        walls.append((halfwidth, rng.choice(np.arange(-reach, reach + 1),
+                                            size=int(rng.integers(0, min(12, 2 * reach + 1))),
+                                            replace=False).tolist()))
+    for halfwidth, positions in walls:
+        spec = LineWalkSpec.make(coeff(), coeff(), [(n, coeff()) for n in positions])
+        bundle = build_line(spec, halfwidth)
+        low, high = min(positions + [0]), max(positions + [0])
+        sites = np.arange(low - onedim.TAIL_SITES, high + onedim.TAIL_SITES + 1)
+        a, b = site_coeffs(spec, sites)
+        for got, want in ((bundle.sites, sites), (bundle.a, a), (bundle.b, b)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

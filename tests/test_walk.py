@@ -6,11 +6,11 @@ import pytest
 
 from chiralwalk.cantor import Cylinder, ProductMeasure, refine_partition
 from chiralwalk.index import s_index_exact
+from chiralwalk.onedim import build_line
 from chiralwalk.tree import truncated_tree
 from chiralwalk.treeop import coin_values
 from chiralwalk.walk import (LineWalkSpec, SphereCoeff, ValidationError, WalkSpec,
-                             line_coeff, line_walk_to_json, parse_line_walk, parse_walk,
-                             walk_to_json)
+                             line_walk_to_json, parse_line_walk, parse_walk, walk_to_json)
 from helpers import (random_partition, random_walk_spec, scan_eval_boundary,
                      scan_eval_vertex, sphere_coeff)
 
@@ -175,9 +175,11 @@ def test_roundtrip_exact():
 def test_line_spec_and_roundtrip():
     left, right = sphere_coeff(0.9), sphere_coeff(0.3)
     spec = LineWalkSpec.make(left, right, [(0, sphere_coeff(0.5))])
-    assert line_coeff(spec, -7) == left
-    assert line_coeff(spec, 7) == right
-    assert line_coeff(spec, 0) == sphere_coeff(0.5)
+    bundle = build_line(spec, 20)
+    coeffs = {int(n): SphereCoeff(a, b) for n, a, b in zip(bundle.sites, bundle.a, bundle.b)}
+    assert coeffs[-3] == coeffs[-1] == left
+    assert coeffs[1] == coeffs[3] == right
+    assert coeffs[0] == sphere_coeff(0.5)
     assert parse_line_walk(line_walk_to_json(spec)) == spec
 
 
