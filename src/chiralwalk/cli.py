@@ -45,15 +45,17 @@ BASE_BYTES = 64e6    # interpreter, numpy and BLAS before the first dense array
 # peaks per unit of the 1-D inputs, measured with tracemalloc at 1e5-4e6 units
 # and rounded up: 72 B per circle sample (winding, sweep), 24 B per Monte Carlo
 # sample, 710 B per sweep row (with its loop), 32 B per range-grid value,
-# 48 B per unit of falk --trunc (the diagonals of its banded factors) and
+# 48 B per unit of falk --trunc (the diagonals of its banded factors),
 # 208 B per lattice site that onedim reads (the bundle's coefficient arrays,
-# the chirality diagonals and the transfer matrices)
+# the chirality diagonals and the transfer matrices) and 1145 B per tree
+# vertex of a check at depths 12-18 (its resident size grew by up to 1411 B)
 CIRCLE_SAMPLE_BYTES = 80
 MC_SAMPLE_BYTES = 32
 ROW_BYTES = 800
 GRID_BYTES = 40
 TRUNC_BYTES = 56
 SITE_BYTES = 240
+CHECK_VERTEX_BYTES = 1600
 
 
 class _Parser(argparse.ArgumentParser):
@@ -167,10 +169,8 @@ def cmd_check(args) -> int:
     # the identities are checked two layers in from the truncation depth
     if not 2 <= args.depth <= MAX_DEPTH:
         raise ValidationError(f"--depth must lie in [2, {MAX_DEPTH}], got {args.depth}")
-    # a check at depths 8-11 peaks at 3.1-3.5 n x n arrays (the n x m slab of
-    # L and m x n slab of E, the 2m x 2n symmetry strip with m ~ n / 4, its
-    # adjoint and product, plus transients); 3.9 keeps a margin
-    _preflight(f"--depth {args.depth}", 3.9 * 16.0 * (2 ** (args.depth + 1) - 1) ** 2)
+    # the bundle and the products hold a few triples per vertex of the window
+    _preflight(f"--depth {args.depth}", CHECK_VERTEX_BYTES * (2 ** (args.depth + 1) - 1))
     w = parse_walk(_read_text(args.walk))
     bundle = build_bundle(w, args.depth)
     residuals = check_identities(bundle)

@@ -9,17 +9,10 @@ are therefore restricted to the interior (depth <= d - 2), where compression
 artifacts vanish; the margin is two layers because the chirality block
 composes two depth-shifting factors.  In breadth-first order the interior is
 the first m = 2^(d-1) - 1 vertices, and :func:`tree_operators` is the one
-place that counts them: every other function reads m off an array shape.
-
-Coin-type operators (C and the conjugator) are 2x2 block matrices with
-diagonal blocks and exist only as their four diagonal blocks: products among
-them are blockwise, and products with dense operators are exact row and
-column scaling (see chiralwalk.linalg), so no dense coin is ever formed.  The
-tree operators are formed only where the identities read them: L on the
-interior's columns and the defect, in closed form, on the interior's rows.
-The operator bundle holds the symmetry only as its interior rows and the
-skew part U - U* only as its interior block; no n x n array and no walk
-unitary U = (symmetry)(coin) is formed.
+place that counts them: every other function reads m off a shape.  Tree
+operators are triples of their nonzeros (chiralwalk.linalg), at most three per
+row, so a bundle and its check are linear in the vertices; coin-type operators
+(C and the conjugator) exist only as their four diagonal blocks.
 """
 
 from __future__ import annotations
@@ -29,21 +22,21 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy import matmul
 
 from .cantor import prefix_cell
-from .linalg import diag_block_product, mul_diag_block_left, mul_diag_block_right
+from .linalg import (Triples, add, adjoint, block, diag_block_product, matmul,
+                     mul_diag_block_left, mul_diag_block_right, triples)
 from .tree import TruncatedTree, truncated_tree
 from .walk import WalkSpec
 
 
 class TreeOperators(NamedTuple):
-    """The tree operators on the interior: ``isometry`` is the n x m slab of
-    L's interior columns and ``defect`` the m x n slab of E's interior rows."""
+    """The tree operators on the interior, as triples: ``isometry`` holds L's
+    n x m interior columns and ``defect`` E's m x n interior rows."""
 
     tree: TruncatedTree
-    isometry: np.ndarray
-    defect: np.ndarray
+    isometry: Triples
+    defect: Triples
 
 
 def tree_operators(t: TruncatedTree) -> TreeOperators:
@@ -51,25 +44,22 @@ def tree_operators(t: TruncatedTree) -> TreeOperators:
     on the m = 2^(d-1) - 1 interior vertices (depth <= d - 2).
 
     (S f)(v) = f(parent(v)), and the root row is zero.  Column u holds the
-    children of u, which for an interior u are the vertices 1..2m.
-
-    E is 1 at the root, 1 - r r on every other diagonal entry and -r r
-    between siblings (i and i + 1 for odd i in breadth-first order), with
-    r = 1/sqrt(2): the entries of 1 - L L*, bit for bit, without the product.
+    children of u, which for an interior u are the vertices 1..2m.  E is 1 at
+    the root, 1 - r r on every other diagonal entry and -r r between siblings
+    (i and i + 1 for odd i in breadth-first order), with r = 1/sqrt(2): the
+    entries of 1 - L L*, bit for bit, without the product.
     """
     n = t.size
     m = n // 4  # (2^(d+1) - 1) // 4 = 2^(d-1) - 1
     r = 1.0 / math.sqrt(2.0)
     children = np.arange(1, 2 * m + 1)
-    isometry = np.zeros((n, m), dtype=np.complex128)
-    isometry[children, (children - 1) // 2] = r
-    defect = np.zeros((m, n), dtype=np.complex128)
-    inner = np.arange(m)
-    defect[inner, inner] = 1.0 - r * r
-    defect[:1, 0] = 1.0
-    odd = np.arange(1, m, 2)
-    defect[odd, odd + 1] = -r * r
-    defect[odd + 1, odd] = -r * r
+    isometry = Triples(children, (children - 1) // 2,  # one entry per row, in row order
+                       np.full(2 * m, r, dtype=np.complex128), (n, m))
+    inner, odd = np.arange(m), np.arange(1, m, 2)
+    diagonal = np.full(m, 1.0 - r * r)
+    diagonal[:1] = 1.0
+    defect = triples([inner, odd, odd + 1], [inner, odd + 1, odd],
+                     [diagonal, np.full(2 * len(odd), -r * r)], (m, n))
     return TreeOperators(t, isometry, defect)
 
 
@@ -104,9 +94,7 @@ def conjugator_blocks(a: np.ndarray, b: np.ndarray):
     (1/sqrt 2) [[s+, -s-], [b/s+, b/s-]] with s+- = sqrt(1 +- a)."""
     if np.any(np.abs(a) >= 1.0):
         raise ValueError("conjugator undefined where |a| = 1")
-    r = 1.0 / math.sqrt(2.0)
-    s_plus = np.sqrt(1.0 + a)
-    s_minus = np.sqrt(1.0 - a)
+    r, s_plus, s_minus = 1.0 / math.sqrt(2.0), np.sqrt(1.0 + a), np.sqrt(1.0 - a)
     return (r * s_plus.astype(np.complex128), -r * s_minus.astype(np.complex128),
             r * b / s_plus, r * b / s_minus)
 
@@ -116,58 +104,47 @@ def _dagger_blocks(d):
     return (np.conj(d11), np.conj(d21), np.conj(d12), np.conj(d22))
 
 
-def shift_symmetry(isometry: np.ndarray, defect: np.ndarray,
-                   p: float, q: complex) -> np.ndarray:
-    """The interior rows of the involution [[p, conj(q) L*], [q L, (1 + p) E - p]],
-    from the n x m ``isometry`` and m x n ``defect`` of :func:`tree_operators`.
-
-    The lower right block must square to |q|^2 E + p^2 against |q|^2 L L*,
-    which forces the coefficient 1 + p on the defect; with it the square is
-    the identity wherever L*L = 1 holds (all of the interior).  At p = 0 this
-    reduces to [[0, L*], [L, E]], and on a lattice without defect (E = 0) to
-    the familiar [[p, conj(q) L*], [q L, -p]].
-
-    Only the 2m x 2n strip of rows ``inner`` and ``n + inner`` is formed,
-    where ``inner`` is the first m vertices; its entries are those of the
-    full involution.  An interior row of L is zero beyond column m, and q
-    multiplies those zeros too, so the strip keeps their signs.
-    """
+def shift_symmetry(isometry: Triples, defect: Triples, p: float, q: complex) -> Triples:
+    """The interior rows of the involution [[p, conj(q) L*], [q L, (1 + p) E - p]]
+    from the k x m ``isometry`` and m x k ``defect``: the 2m x 2n strip from
+    :func:`tree_operators`' triples, or the 2m x 2m interior block from their
+    leading m x m blocks, each entry the dense involution's bit for bit.  The
+    coefficient 1 + p makes the lower right block square to |q|^2 E + p^2
+    against |q|^2 L L*, so the square is 1 wherever L*L = 1 (the interior)."""
     if abs(p * p + abs(q) ** 2 - 1.0) > 1e-12:
         raise ValueError(f"(p, q) = ({p}, {q}) not on the unit sphere")
-    n, m = isometry.shape
-    out = np.zeros((2 * m, 2 * n), dtype=np.complex128)
-    idx = np.arange(m)
-    out[idx, idx] = p
-    out[:m, n:] = np.conj(q) * isometry.conj().T
-    lower = np.zeros((m, n), dtype=np.complex128)
-    lower[:, :m] = isometry[:m]
-    out[m:, :n] = q * lower
-    out[m:, n:] = (1.0 + p) * defect
-    out[m + idx, n + idx] -= p
-    return out
+    k, m = isometry.shape
+    inner, lower = np.arange(m), isometry.row < m
+    diagonal = np.full(m, p, dtype=np.complex128)
+    return triples([inner, isometry.col, m + isometry.row[lower], m + defect.row, m + inner],
+                   [inner, k + isometry.row, isometry.col[lower], k + defect.col, k + inner],
+                   [diagonal, np.conj(q) * np.conj(isometry.val), q * isometry.val[lower],
+                    (1.0 + p) * defect.val, -diagonal], (2 * m, 2 * k))
 
 
 def chirality_direct(p: float, q: complex, a: np.ndarray, b: np.ndarray,
-                     isometry: np.ndarray, defect: np.ndarray) -> np.ndarray:
-    """Chirality block assembled term by term:
+                     isometry: Triples, defect: Triples) -> Triples:
+    """Chirality block on the interior, assembled term by term:
 
         q (conj(b)/s-) L s+  -  conj(q) s- L* (b/s+)
           + (1 + p) (conj(b)/s-) E (b/s+)  -  2 p |b|,
 
-    with every function acting diagonally through the vertex values.  The
-    conjugation route below reproduces this matrix exactly, entry for entry.
+    with functions of the interior vertex values acting diagonally and L, E
+    the interior blocks of the triples; the conjugation route reproduces it.
     """
-    s_plus = np.sqrt(1.0 + a)
-    s_minus = np.sqrt(1.0 - a)
-    left = np.conj(b) / s_minus
-    out = q * (left[:, None] * isometry * s_plus[None, :])
-    out -= np.conj(q) * (s_minus[:, None] * isometry.conj().T * (b / s_plus)[None, :])
-    out += (1.0 + p) * (left[:, None] * defect * (b / s_plus)[None, :])
-    out -= np.diag(2.0 * p * np.abs(b)).astype(np.complex128)
-    return out
+    m = len(a)
+    s_plus, s_minus = np.sqrt(1.0 + a), np.sqrt(1.0 - a)
+    left, right = np.conj(b) / s_minus, b / s_plus
+    ell, e = block(isometry, range(m), range(m)), block(defect, range(m), range(m))
+    inner = np.arange(m)
+    return triples([ell.row, ell.col, e.row, inner], [ell.col, ell.row, e.col, inner],
+                   [q * (left[ell.row] * ell.val * s_plus[ell.col]),
+                    -(np.conj(q) * (s_minus[ell.col] * np.conj(ell.val) * right[ell.row])),
+                    (1.0 + p) * (left[e.row] * e.val * right[e.col]), -2.0 * p * np.abs(b)],
+                   (m, m))
 
 
-def conjugated_skew(skew: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def conjugated_skew(skew: Triples, a: np.ndarray, b: np.ndarray) -> Triples:
     """The skew part conjugated into the coin eigenbasis: eps* Q eps.  Its
     lower-left block is the chirality operator."""
     eps = conjugator_blocks(a, b)
@@ -176,67 +153,57 @@ def conjugated_skew(skew: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
 
 @dataclass
 class OperatorBundle:
-    """The operators ``check_identities`` and ``route_disagreement`` read.
-
-    With m the number of interior vertices, the coin is kept only as its
-    data ``a`` and ``b`` on them; its blocks and the conjugator's are formed
-    from these where needed.  ``isometry`` (n x m) and ``defect`` (m x n) are
-    the slabs of :func:`tree_operators`, ``symmetry`` is the 2m x 2n strip
-    of the symmetry's interior rows and ``skew`` the 2m x 2m interior block of
-    U - U*; no n x n array and no walk unitary U is formed.
-    """
+    """The operators ``check_identities`` and ``route_disagreement`` read: the
+    coin data ``a`` and ``b`` on the m interior vertices, the triples of
+    :func:`tree_operators`, and as triples the 2m x 2n ``symmetry`` strip of
+    interior rows and the 2m x 2m interior block ``skew`` of U - U*."""
 
     tree: TruncatedTree
     walk: WalkSpec
-    isometry: np.ndarray
-    defect: np.ndarray
+    isometry: Triples
+    defect: Triples
     a: np.ndarray
     b: np.ndarray
-    symmetry: np.ndarray
-    skew: np.ndarray
+    symmetry: Triples
+    skew: Triples
 
 
 def build_bundle(w: WalkSpec, depth: int, rule: str = "leftmost",
                  ops: TreeOperators | None = None) -> OperatorBundle:
-    """Construct the operator bundle at a truncation depth.
-
-    Pass a precomputed ``ops`` to share the walk-independent tree operators
-    across several walks at the same depth.  The coin couples each vertex
-    only to itself, so the interior block of U = (symmetry)(coin) is the
-    symmetry's interior block times the interior coin, and its skew part the
-    interior block of U - U*, entry for entry.
-    """
+    """Construct the operator bundle at a truncation depth; pass ``ops`` to
+    share the walk-independent tree operators across walks at one depth.  The
+    coin couples each vertex only to itself, so the interior block of
+    U = (symmetry)(coin) is the symmetry's interior block times the interior
+    coin, and its skew part the interior block of U - U*, entry for entry."""
     if ops is None:
         ops = tree_operators(truncated_tree(depth))
     elif ops.tree.depth != depth:
         raise ValueError(f"tree operators are at depth {ops.tree.depth}, not {depth}")
-    t = ops.tree
-    m = len(ops.defect)
-    a, b = coin_values(w, t, rule)
-    a, b = a[:m], b[:m]
-    symmetry = shift_symmetry(ops.isometry, ops.defect, w.p, w.q)
-    u = mul_diag_block_right(symmetry[:, np.r_[:m, t.size:t.size + m]], coin_blocks(a, b))
-    return OperatorBundle(tree=t, walk=w, isometry=ops.isometry, defect=ops.defect,
-                          a=a, b=b, symmetry=symmetry, skew=u - u.conj().T)
+    m = ops.defect.shape[0]
+    a, b = (v[:m] for v in coin_values(w, ops.tree, rule))
+    rows = range(m)
+    inner = shift_symmetry(block(ops.isometry, rows, rows), block(ops.defect, rows, rows),
+                           w.p, w.q)
+    u = mul_diag_block_right(inner, coin_blocks(a, b))
+    return OperatorBundle(tree=ops.tree, walk=w, isometry=ops.isometry, defect=ops.defect,
+                          a=a, b=b, symmetry=shift_symmetry(ops.isometry, ops.defect, w.p, w.q),
+                          skew=triples([u.row, u.col], [u.col, u.row], [u.val, -np.conj(u.val)],
+                                       u.shape))
 
 
-IDENTITY_NAMES = (
-    "symmetry_squared",
-    "coin_squared",
-    "conjugator_unitary",
-    "coin_diagonalized",
-    "defect_kills_shift",
-    "coin_anticommutes_skew",
-    "conjugated_skew_diag_blocks",
-)
+IDENTITY_NAMES = ("symmetry_squared", "coin_squared", "conjugator_unitary", "coin_diagonalized",
+                  "defect_kills_shift", "coin_anticommutes_skew", "conjugated_skew_diag_blocks")
 
 
 def _block_residual(blocks, diagonal: tuple[float, float]) -> float:
-    """Max over the four diagonal blocks of |block - target|, where the target
-    is ``diagonal`` on the two diagonal blocks and 0 off them."""
+    """Max |block - target| over the blocks, the target ``diagonal`` on d11, d22."""
     d11, d12, d21, d22 = blocks
-    return float(max(np.max(np.abs(d11 - diagonal[0])), np.max(np.abs(d12)),
-                     np.max(np.abs(d21)), np.max(np.abs(d22 - diagonal[1]))))
+    return float(np.max(np.abs([d11 - diagonal[0], d12, d21, d22 - diagonal[1]])))
+
+
+def _max_abs(values: np.ndarray) -> float:
+    """Max |entry| over stored values; the entries triples omit are 0."""
+    return float(np.max(np.abs(values), initial=0.0))
 
 
 def check_identities(bundle: OperatorBundle) -> dict[str, float]:
@@ -245,50 +212,31 @@ def check_identities(bundle: OperatorBundle) -> dict[str, float]:
     Checks, in order: the shift symmetry squares to 1; the coin squares to 1;
     the conjugator is unitary; it diagonalizes the coin to diag(1, -1); the
     defect annihilates the isometry; the coin anticommutes with the skew part;
-    and the conjugated skew part has vanishing diagonal blocks.
-
-    Coin-type operators never couple interior to exterior vertices, so they
-    are formed on the interior alone; identities among them are blockwise
-    products.  Only genuinely depth-mixing products (the symmetry square,
-    defect times isometry) contract over the full truncation.
-    """
-    a, b = bundle.a, bundle.b
+    and the conjugated skew part has vanishing diagonal blocks.  Only the
+    symmetry square and E L contract over the truncation, on the triples."""
+    a, b, gamma, skew = bundle.a, bundle.b, bundle.symmetry, bundle.skew
     m = len(a)
-    cblocks = coin_blocks(a, b)
-    eblocks = conjugator_blocks(a, b)
+    cblocks, eblocks = coin_blocks(a, b), conjugator_blocks(a, b)
     edagger = _dagger_blocks(eblocks)
-
-    residuals: dict[str, float] = {}
-
-    gamma = bundle.symmetry
-    sq = matmul(gamma, gamma.conj().T)
-    residuals["symmetry_squared"] = float(np.max(np.abs(sq - np.eye(2 * m))))
-
-    residuals["coin_squared"] = _block_residual(diag_block_product(cblocks, cblocks), (1, 1))
-    residuals["conjugator_unitary"] = _block_residual(
-        diag_block_product(edagger, eblocks), (1, 1))
-    residuals["coin_diagonalized"] = _block_residual(
-        diag_block_product(edagger, diag_block_product(cblocks, eblocks)), (1, -1))
-
-    el = matmul(bundle.defect, bundle.isometry)
-    residuals["defect_kills_shift"] = float(np.max(np.abs(el)))
-
-    skew = bundle.skew
-    anti = mul_diag_block_left(cblocks, skew) + mul_diag_block_right(skew, cblocks)
-    residuals["coin_anticommutes_skew"] = float(np.max(np.abs(anti)))
-
+    i = np.arange(2 * m)
+    minus_eye = Triples(i, i, np.full(2 * m, -1.0 + 0j), (2 * m, 2 * m))
     conj = conjugated_skew(skew, a, b)
-    top = np.max(np.abs(conj[:m, :m]))
-    bottom = np.max(np.abs(conj[m:, m:]))
-    residuals["conjugated_skew_diag_blocks"] = float(max(top, bottom))
-
-    return residuals
+    return {
+        "symmetry_squared": _max_abs(add(matmul(gamma, adjoint(gamma)), minus_eye).val),
+        "coin_squared": _block_residual(diag_block_product(cblocks, cblocks), (1, 1)),
+        "conjugator_unitary": _block_residual(diag_block_product(edagger, eblocks), (1, 1)),
+        "coin_diagonalized": _block_residual(
+            diag_block_product(edagger, diag_block_product(cblocks, eblocks)), (1, -1)),
+        "defect_kills_shift": _max_abs(matmul(bundle.defect, bundle.isometry).val),
+        "coin_anticommutes_skew": _max_abs(
+            add(mul_diag_block_left(cblocks, skew), mul_diag_block_right(skew, cblocks)).val),
+        "conjugated_skew_diag_blocks": _max_abs(conj.val[(conj.row < m) == (conj.col < m)]),
+    }
 
 
 def route_disagreement(bundle: OperatorBundle) -> float:
     """Interior max difference between the two chirality constructions."""
-    a, b = bundle.a, bundle.b
-    m = len(a)
-    direct = chirality_direct(bundle.walk.p, bundle.walk.q, a, b,
-                              bundle.isometry[:m], bundle.defect[:, :m])
-    return float(np.max(np.abs(direct - conjugated_skew(bundle.skew, a, b)[m:, :m])))
+    a, b, m = bundle.a, bundle.b, len(bundle.a)
+    direct = chirality_direct(bundle.walk.p, bundle.walk.q, a, b, bundle.isometry, bundle.defect)
+    conj = block(conjugated_skew(bundle.skew, a, b), range(m, 2 * m), range(m))
+    return _max_abs(add(direct, conj._replace(val=-conj.val)).val)

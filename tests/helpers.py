@@ -1,8 +1,10 @@
 """Shared generators for randomized walk specs, the scans that witness the
-prefix-code lookup of ``chiralwalk.cantor``, the dense full-truncation tree
-route that witnesses the interior slabs and bundle of ``chiralwalk.treeop``,
-the dense Falk trace that witnesses ``chiralwalk.symbol.falk_pairing``, and
-the per-site lookup and dense lattice route that witness ``chiralwalk.onedim``."""
+prefix-code lookup of ``chiralwalk.cantor``, the dense two-term kernels that
+witness the triple kernels of ``chiralwalk.linalg``, the dense
+full-truncation tree route that witnesses the triples and bundle of
+``chiralwalk.treeop``, the dense Falk trace that witnesses
+``chiralwalk.symbol.falk_pairing``, and the per-site lookup and dense lattice
+route that witness ``chiralwalk.onedim``."""
 
 from __future__ import annotations
 
@@ -12,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from chiralwalk.cantor import Cylinder
-from chiralwalk.linalg import mul_diag_block_right
+from chiralwalk.linalg import Triples
 from chiralwalk.onedim import CRITICAL, TAIL_GAP
 from chiralwalk.symbol import unilateral_shift
 from chiralwalk.tree import check_vertex
-from chiralwalk.treeop import TreeOperators, coin_blocks
+from chiralwalk.treeop import TreeOperators, coin_blocks, conjugator_blocks
 from chiralwalk.walk import LineWalkSpec, SphereCoeff, ValidationError, WalkSpec
 
 
@@ -86,6 +88,51 @@ def dense_falk_pairing(f_value: int, trunc: int) -> float:
     return float((-raw).real) + 0.0
 
 
+# --- the dense two-term kernels ----------------------------------------------
+#
+# The coin-type products as ``chiralwalk.linalg`` formed them on dense
+# matrices before it held operators as triples: every output entry is the
+# same two-term sum the triple kernels form, so their densified results must
+# agree exactly.
+
+
+def densify(x: Triples) -> np.ndarray:
+    """The dense matrix of a triple operator."""
+    out = np.zeros(x.shape, dtype=np.complex128)
+    out[x.row, x.col] = x.val
+    return out
+
+
+def assert_stored_entries_exact(x: Triples, dense: np.ndarray) -> None:
+    """Every stored triple is the dense entry bit for bit, and every entry
+    the triples omit is a zero (of either sign) of the dense matrix."""
+    assert x.shape == dense.shape
+    assert x.val.tobytes() == dense[x.row, x.col].tobytes()
+    omitted = np.ones(dense.shape, dtype=bool)
+    omitted[x.row, x.col] = False
+    assert not np.any(dense[omitted])
+
+
+def dense_mul_diag_block_left(d, x: np.ndarray) -> np.ndarray:
+    """D @ x for D the 2x2 diagonal-block matrix with blocks d = (d11, d12, d21, d22)."""
+    d11, d12, d21, d22 = (np.asarray(v) for v in d)
+    n = x.shape[0] // 2
+    top, bot = x[:n], x[n:]
+    return np.vstack([d11[:, None] * top + d12[:, None] * bot,
+                      d21[:, None] * top + d22[:, None] * bot])
+
+
+def dense_mul_diag_block_right(x: np.ndarray, d) -> np.ndarray:
+    """x @ D for D the 2x2 diagonal-block matrix with blocks d = (d11, d12, d21, d22)."""
+    d11, d12, d21, d22 = (np.asarray(v) for v in d)
+    n = x.shape[1] // 2
+    left, right = x[:, :n], x[:, n:]
+    return np.hstack([left * d11 + right * d21, left * d12 + right * d22])
+
+
+# --- the dense tree route -----------------------------------------------------
+
+
 def shift_matrix(t) -> np.ndarray:
     """The dense tree shift of a truncated tree: (S f)(v) = f(parent(v)),
     with a zero root row.  Oracle for :func:`dense_tree_operators`, which
@@ -100,9 +147,10 @@ def shift_matrix(t) -> np.ndarray:
 
 
 def dense_tree_operators(t) -> TreeOperators:
-    """The n x n isometry L = S / sqrt(2) and defect E = 1 - L L* of the whole
-    truncation, E in closed form.  Oracle for ``treeop.tree_operators``,
-    whose slabs are L[:, :m] and E[:m] for the m interior vertices."""
+    """The dense n x n isometry L = S / sqrt(2) and defect E = 1 - L L* of
+    the whole truncation, E in closed form.  Oracle for
+    ``treeop.tree_operators``, whose triples hold L[:, :m] and E[:m] for the
+    m interior vertices."""
     n = t.size
     r = 1.0 / math.sqrt(2.0)
     below = np.arange(1, n)
@@ -122,8 +170,8 @@ def dense_tree_operators(t) -> TreeOperators:
 def dense_symmetry(isometry: np.ndarray, defect: np.ndarray, p: float,
                    q: complex) -> np.ndarray:
     """The full 2n x 2n involution [[p, conj(q) L*], [q L, (1 + p) E - p]].
-    Oracle for ``treeop.shift_symmetry``, which forms only its interior rows
-    by the same entry expressions."""
+    Oracle for ``treeop.shift_symmetry``, which forms only its interior rows,
+    as triples, by the same entry expressions."""
     n = isometry.shape[0]
     out = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     idx = np.arange(n)
@@ -138,8 +186,36 @@ def dense_symmetry(isometry: np.ndarray, defect: np.ndarray, p: float,
 def dense_skew(symmetry: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """U - U* for the dense walk unitary U = (symmetry)(coin) on the whole
     truncation.  Oracle for the interior skew part of ``treeop.build_bundle``."""
-    u = mul_diag_block_right(symmetry, coin_blocks(a, b))
+    u = dense_mul_diag_block_right(symmetry, coin_blocks(a, b))
     return u - u.conj().T
+
+
+def dense_chirality_direct(p: float, q: complex, a: np.ndarray, b: np.ndarray,
+                           isometry: np.ndarray, defect: np.ndarray) -> np.ndarray:
+    """Chirality block assembled term by term on dense operators:
+
+        q (conj(b)/s-) L s+  -  conj(q) s- L* (b/s+)
+          + (1 + p) (conj(b)/s-) E (b/s+)  -  2 p |b|.
+
+    Oracle for ``treeop.chirality_direct``, which forms the interior block
+    of this matrix as triples by the same entry expressions (equal within an
+    ulp: numpy may round a broadcast and a flat complex product apart)."""
+    s_plus = np.sqrt(1.0 + a)
+    s_minus = np.sqrt(1.0 - a)
+    left = np.conj(b) / s_minus
+    out = q * (left[:, None] * isometry * s_plus[None, :])
+    out -= np.conj(q) * (s_minus[:, None] * isometry.conj().T * (b / s_plus)[None, :])
+    out += (1.0 + p) * (left[:, None] * defect * (b / s_plus)[None, :])
+    out -= np.diag(2.0 * p * np.abs(b)).astype(np.complex128)
+    return out
+
+
+def dense_conjugated_skew(skew: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """eps* Q eps on a dense skew part Q.  Oracle for ``treeop.conjugated_skew``."""
+    eps = conjugator_blocks(a, b)
+    d11, d12, d21, d22 = eps
+    dagger = (np.conj(d11), np.conj(d21), np.conj(d12), np.conj(d22))
+    return dense_mul_diag_block_left(dagger, dense_mul_diag_block_right(skew, eps))
 
 
 def random_partition(rng: np.random.Generator, max_level: int, splits: int | None = None):
@@ -270,7 +346,7 @@ def dense_build_line(spec: LineWalkSpec, halfwidth: int) -> DenseLineBundle:
     symmetry = np.block([[eye, shift.conj().T], [shift, -eye]]) / math.sqrt(2.0)
     del shift, eye
     cblocks = (a.astype(np.complex128), np.conj(b), b, -a.astype(np.complex128))
-    evolution = mul_diag_block_right(symmetry, cblocks)
+    evolution = dense_mul_diag_block_right(symmetry, cblocks)
     del symmetry
     skew = evolution - evolution.conj().T
     return DenseLineBundle(spec=spec, halfwidth=halfwidth, sites=sites, a=a, b=b, skew=skew)

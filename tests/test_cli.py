@@ -278,14 +278,14 @@ def meminfo(tmp_path, monkeypatch):
     ["falk", "--f-value", "0", "--cylinder", "0"],
     ["falk"],
     *([cmd, "--tol", tol] for cmd in ("check", "onedim") for tol in ("nan", "inf", "-1", "0")),
-    # arrays of 17 GB (check) and 11 GB (falk), against 6 GB available
-    ["check", "--depth", "13"],
+    # arrays of 3.4 GB (check) and 11 GB (falk), against 3 GB available
+    ["check", "--depth", "20"],
     ["falk", "--f-value", "1", "--trunc", "200000000"],
     # a count whose byte size overflows a float
     ["winding", "--a", "0.5", "--samples", "1" + "0" * 400],
 ], ids=lambda argv: " ".join(argv)[:80])
 def test_invalid_arguments_exit_3_before_work(capsys, meminfo, walk_file, line_file, argv):
-    meminfo(6_000_000)
+    meminfo(3_000_000)
     if argv[0] in ("index", "check"):
         argv = argv + ["--walk", walk_file]
     if argv[0] == "onedim":
@@ -408,8 +408,8 @@ sys.exit(main(sys.argv[1:]))
 
 
 def test_preflight_reads_address_space_limit(walk_file):
-    # under a 3 GB address-space limit a depth-12 check (about 4.2 GB) is
-    # refused at once, where it used to die in numpy after seconds of work
+    # under a 3 GB address-space limit a depth-20 check (about 3.4 GB) is
+    # refused at once, where it would die in numpy after seconds of work
     env = _src_env()
 
     def check(depth):
@@ -419,11 +419,11 @@ def test_preflight_reads_address_space_limit(walk_file):
                               env=env, capture_output=True, text=True, timeout=300)
         return done, time.perf_counter() - start
 
-    done, seconds = check(12)
+    done, seconds = check(20)
     assert done.returncode == 3, done.stderr
     assert seconds < 1.0
     assert done.stdout == ""
-    assert done.stderr.startswith("error: --depth 12 needs about")
+    assert done.stderr.startswith("error: --depth 20 needs about")
     done, _ = check(6)
     assert done.returncode == 0, done.stderr
 
@@ -495,15 +495,16 @@ def test_index_mc_golden(capsys, walk_file):
 
 
 # the identity table and the lattice report of the shipped configs, pinned
-# byte for byte (csv rows end in CRLF); the coin is applied through its
-# diagonal blocks, and no change of representation may move a digit
+# byte for byte (csv rows end in CRLF); every residual is a sum over the
+# operators' nonzeros in a fixed order, with no BLAS call, so the digits do
+# not depend on the BLAS build
 GOLDEN_CHECK = (
     "identity,residual,threshold,status\r\n"
     "symmetry_squared,2.220446049250313e-16,1e-10,pass\r\n"
     "coin_squared,0.0,1e-10,pass\r\n"
     "conjugator_unitary,4.440892098500626e-16,1e-10,pass\r\n"
     "coin_diagonalized,4.440892098500626e-16,1e-10,pass\r\n"
-    "defect_kills_shift,1.3401577416544657e-16,1e-10,pass\r\n"
+    "defect_kills_shift,1.1102230246251565e-16,1e-10,pass\r\n"
     "coin_anticommutes_skew,2.220446049250313e-16,1e-10,pass\r\n"
     "conjugated_skew_diag_blocks,1.1102230246251565e-16,1e-10,pass\r\n"
 )
@@ -540,6 +541,16 @@ def test_check_golden_depth10(capsys):
                        "--depth", "10")
     assert code == 0
     assert out == GOLDEN_CHECK
+
+
+def test_check_depth16_is_fast(capsys):
+    # 131 071 vertices: the triples keep the check linear in their number
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "check", "--walk", str(CONFIGS / "level2_walk.json"),
+                       "--depth", "16")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert out.count(",pass") == 7
 
 
 def test_onedim_golden(capsys):

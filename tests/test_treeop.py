@@ -4,14 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from chiralwalk.linalg import adjoint, matmul
 from chiralwalk.tree import truncated_tree
 from chiralwalk.treeop import (IDENTITY_NAMES, build_bundle, check_identities,
                                chirality_direct, coin_blocks, coin_values,
                                conjugated_skew, conjugator_blocks, route_disagreement,
                                shift_symmetry, tree_operators)
 from chiralwalk.walk import WalkSpec
-from helpers import (dense_skew, dense_symmetry, dense_tree_operators, random_walk_spec,
-                     shift_matrix, sphere_coeff)
+from helpers import (assert_stored_entries_exact, dense_chirality_direct,
+                     dense_conjugated_skew, dense_skew, dense_symmetry, dense_tree_operators,
+                     densify, random_walk_spec, shift_matrix, sphere_coeff)
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +36,7 @@ def chirality(w, dense_ops, rule="leftmost"):
     """The walk's chirality block on the whole truncation, by the direct
     route on the dense tree operators."""
     a, b = coin_values(w, dense_ops.tree, rule)
-    return chirality_direct(w.p, w.q, a, b, dense_ops.isometry, dense_ops.defect)
+    return dense_chirality_direct(w.p, w.q, a, b, dense_ops.isometry, dense_ops.defect)
 
 
 def basis_vector(t, v):
@@ -85,7 +87,7 @@ def test_isometry_and_defect_structure(dense6):
 @pytest.mark.parametrize("depth", range(1, 11))
 def test_defect_closed_form_is_the_dense_product(depth):
     # the closed form reproduces 1 - L L* bit for bit, signed zeros included,
-    # and the slabs are its interior columns of L and interior rows of E
+    # and the triples hold its interior columns of L and interior rows of E
     t = truncated_tree(depth)
     isometry = shift_matrix(t) / math.sqrt(2.0)
     dense_defect = np.eye(t.size, dtype=np.complex128) - isometry @ isometry.conj().T
@@ -95,12 +97,12 @@ def test_defect_closed_form_is_the_dense_product(depth):
     m = (1 << (depth - 1)) - 1
     ops = tree_operators(t)
     assert ops.isometry.shape == (t.size, m) and ops.defect.shape == (m, t.size)
-    assert ops.isometry.tobytes() == isometry[:, :m].tobytes()
-    assert ops.defect.tobytes() == dense_defect[:m].tobytes()
+    assert_stored_entries_exact(ops.isometry, isometry[:, :m])
+    assert_stored_entries_exact(ops.defect, dense_defect[:m])
 
 
 def test_tree_operators_real_entries(ops6, dense6):
-    for m in (shift_matrix(ops6.tree), ops6.isometry, ops6.defect,
+    for m in (shift_matrix(ops6.tree), ops6.isometry.val, ops6.defect.val,
               dense6.isometry, dense6.defect):
         assert np.max(np.abs(m.imag)) == 0.0
 
@@ -110,7 +112,7 @@ def test_tree_operators_real_entries(ops6, dense6):
 def test_symmetry_specializes_at_p_zero(ops6, dense6):
     n = ops6.tree.size
     m = (1 << 5) - 1
-    gamma = shift_symmetry(ops6.isometry, ops6.defect, 0.0, 1.0)
+    gamma = densify(shift_symmetry(ops6.isometry, ops6.defect, 0.0, 1.0))
     assert np.array_equal(gamma[:m, :n], np.zeros((m, n)))
     assert np.array_equal(gamma[:m, n:], dense6.isometry.conj().T[:m])
     assert np.array_equal(gamma[m:, :n], dense6.isometry[:m])
@@ -125,7 +127,7 @@ def test_symmetry_squares_to_identity_on_interior(ops6, dense6):
         angle = rng.uniform(0, np.pi)
         p = float(np.cos(angle))
         q = np.sqrt(1 - p * p) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        gamma = shift_symmetry(ops6.isometry, ops6.defect, p, q)
+        gamma = densify(shift_symmetry(ops6.isometry, ops6.defect, p, q))
         residual = gamma @ gamma.conj().T - np.eye(2 * m)
         assert np.max(np.abs(residual)) < 1e-12, p
     block = gamma[:, np.r_[:m, n:n + m]]
@@ -153,7 +155,7 @@ def test_symmetry_degenerate_corner():
     assert np.allclose(gamma[n:, n:], 2.0 * dense.defect - np.eye(n), atol=1e-14)
     assert np.max(np.abs(gamma @ gamma - np.eye(2 * n))) < 1e-14
     ops = tree_operators(dense.tree)
-    strip = shift_symmetry(ops.isometry, ops.defect, 1.0, 0.0)
+    strip = densify(shift_symmetry(ops.isometry, ops.defect, 1.0, 0.0))
     m = len(strip) // 2
     assert np.array_equal(strip, gamma[np.r_[:m, n:n + m]])
 
@@ -208,7 +210,7 @@ def test_chirality_conjugation_route_matches_everywhere(dense6):
     a, b = coin_values(w, dense6.tree)
     n = dense6.tree.size
     skew = dense_skew(dense_symmetry(dense6.isometry, dense6.defect, w.p, w.q), a, b)
-    conj = conjugated_skew(skew, a, b)[n:, :n]
+    conj = dense_conjugated_skew(skew, a, b)[n:, :n]
     assert np.max(np.abs(chirality(w, dense6) - conj)) < 1e-12
 
 
@@ -225,7 +227,7 @@ def test_p_zero_drops_scalar_term(dense6):
     rng = np.random.default_rng(14)
     w = random_walk_spec(rng, p_value=0.0)
     a, b = coin_values(w, dense6.tree)
-    direct = chirality_direct(0.0, w.q, a, b, dense6.isometry, dense6.defect)
+    direct = dense_chirality_direct(0.0, w.q, a, b, dense6.isometry, dense6.defect)
     assert np.max(np.abs(chirality(w, dense6) - direct)) == 0.0
     assert np.max(np.abs(np.diag(direct) - np.diag(direct - np.diag(
         2 * 0.0 * np.abs(b))))) == 0.0
@@ -244,9 +246,10 @@ def test_identities_random_specs(ops6):
 
 
 def test_bundle_holds_the_dense_interior():
-    # the coin data, the strip and the interior skew part are the interior
-    # entries of the full coin data, the interior rows of the full symmetry
-    # and the interior block of the dense U - U*, bit for bit
+    # the coin data are the interior entries of the full coin data, and each
+    # stored triple of the strip and of the interior skew part is the entry of
+    # the full symmetry's interior rows and of the dense U - U*'s interior
+    # block, bit for bit; every entry the triples omit is a zero there
     rng = np.random.default_rng(16)
     for depth in range(2, 9):
         w = random_walk_spec(rng)
@@ -261,15 +264,47 @@ def test_bundle_holds_the_dense_interior():
             assert bundle.b.tobytes() == b[inner].tobytes(), (depth, rule)
             gamma = dense_symmetry(dense.isometry, dense.defect, w.p, w.q)
             skew = dense_skew(gamma, a, b)
-            assert bundle.symmetry.tobytes() == gamma[inner2].tobytes(), (depth, rule)
-            assert bundle.skew.tobytes() == skew[np.ix_(inner2, inner2)].tobytes(), (depth, rule)
+            assert_stored_entries_exact(bundle.symmetry, gamma[inner2])
+            assert_stored_entries_exact(bundle.skew, skew[np.ix_(inner2, inner2)])
+
+
+def test_products_match_the_dense_oracle():
+    # the Gram product of the strip and E L, summed in inner-index order over
+    # the triples, against the dense products of the oracle's interior rows
+    # and columns; the chirality block's three-factor terms against the
+    # dense ones (numpy rounds broadcast and flat products apart by up to
+    # an ulp); and the conjugated skew part exactly, being the same two-term
+    # sums
+    rng = np.random.default_rng(17)
+    for depth in range(2, 9):
+        w = random_walk_spec(rng)
+        dense = dense_tree_operators(truncated_tree(depth))
+        for rule in ("leftmost", "rightmost"):
+            bundle = build_bundle(w, depth, rule=rule)
+            n, m = bundle.tree.size, len(bundle.a)
+            inner2 = np.r_[:m, n:n + m]
+            gamma = dense_symmetry(dense.isometry, dense.defect, w.p, w.q)[inner2]
+            gram = densify(matmul(bundle.symmetry, adjoint(bundle.symmetry)))
+            assert np.max(np.abs(gram - gamma @ gamma.conj().T), initial=0.0) <= 1e-15
+            el = densify(matmul(bundle.defect, bundle.isometry))
+            assert np.max(np.abs(el - dense.defect[:m] @ dense.isometry[:, :m]),
+                          initial=0.0) <= 1e-15
+            a, b = coin_values(w, dense.tree, rule)
+            direct = dense_chirality_direct(w.p, w.q, a, b, dense.isometry, dense.defect)
+            mine = densify(chirality_direct(w.p, w.q, bundle.a, bundle.b, bundle.isometry,
+                                            bundle.defect))
+            assert np.max(np.abs(mine - direct[:m, :m]), initial=0.0) <= 1e-15
+            skew = dense_skew(dense_symmetry(dense.isometry, dense.defect, w.p, w.q), a, b)
+            conj = dense_conjugated_skew(skew[np.ix_(inner2, inner2)], bundle.a, bundle.b)
+            assert np.array_equal(densify(conjugated_skew(bundle.skew, bundle.a, bundle.b)), conj)
 
 
 def test_skew_is_antiselfadjoint(ops6):
     rng = np.random.default_rng(15)
     w = random_walk_spec(rng)
     bundle = build_bundle(w, 6, ops=ops6)
-    assert np.max(np.abs(bundle.skew + bundle.skew.conj().T)) == 0.0
+    skew = densify(bundle.skew)
+    assert np.max(np.abs(skew + skew.conj().T)) == 0.0
 
 
 def test_truncation_monotonicity():
@@ -341,18 +376,30 @@ def test_bundle_dimensions(ops6):
     assert [len(v) <= 4 for v in bundle.tree.addresses] == [i < m for i in range(n)]
 
 
-def test_check_holds_no_dense_square():
-    # the peak of building and checking a depth-9 bundle stays below 3.5
-    # n x n complex arrays (about 3.1 here; 4.6 when L and E were n x n)
-    w = random_walk_spec(np.random.default_rng(53))
-    n = truncated_tree(9).size
+def _check_peak(depth: int, seed: int) -> int:
+    """tracemalloc peak of building and checking a random walk's bundle."""
+    w = random_walk_spec(np.random.default_rng(seed))
     tracemalloc.start()
     try:
-        check_identities(build_bundle(w, 9))
-        peak = tracemalloc.get_traced_memory()[1]
+        check_identities(build_bundle(w, depth))
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_check_holds_no_dense_square():
+    # the peak of building and checking a depth-9 bundle stays below 3.5
+    # n x n complex arrays (about 0.08 on the triples; 3.1 with the dense
+    # strip, 4.6 when L and E were n x n)
+    n = truncated_tree(9).size
+    peak = _check_peak(9, 53)
     assert peak < 3.5 * 16 * n * n, peak / (16 * n * n)
+
+
+def test_check_memory_is_linear_in_the_vertices():
+    # four times the vertices: about 4x the peak when it is linear, 16x when
+    # it is quadratic
+    assert _check_peak(14, 54) < 6 * _check_peak(12, 54)
 
 
 def test_build_bundle_rejects_mismatched_ops(ops6):
