@@ -47,8 +47,8 @@ BASE_BYTES = 64e6    # interpreter, numpy and BLAS before the first dense array
 # sample, 710 B per sweep row (with its loop), 32 B per range-grid value,
 # 48 B per unit of falk --trunc (the diagonals of its banded factors),
 # 208 B per lattice site that onedim reads (the bundle's coefficient arrays,
-# the chirality diagonals and the transfer matrices) and 1145 B per tree
-# vertex of a check at depths 12-18 (its resident size grew by up to 1411 B)
+# the chirality diagonals and the transfer matrices) and 1071 B per tree vertex
+# of a check at depths 12-18 at any cell depth (resident growth <= 1391 B at 14-18)
 CIRCLE_SAMPLE_BYTES = 80
 MC_SAMPLE_BYTES = 32
 ROW_BYTES = 800
@@ -275,9 +275,9 @@ def cmd_falk(args) -> int:
     if (args.f_value is None) == (args.cylinder is None):
         raise ValidationError("need either --f-value or --cylinder"
                               + (", not both" if args.cylinder is not None else ""))
+    measure = _parse_measure(args.measure)
     if args.cylinder is not None:
         cylinder = _parse_cylinder(args.cylinder)
-        measure = _parse_measure(args.measure)
         value = falk_cylinder_pairing(cylinder, measure, args.trunc)
         doc = {"cylinder": args.cylinder, "measure": args.measure,
                "trunc": args.trunc, "pairing": value}

@@ -71,14 +71,27 @@ def coin_values(w: WalkSpec, t: TruncatedTree, rule: str = "leftmost"):
     subtree: the all-zeros continuation under the default ``leftmost`` rule,
     or the all-ones continuation under ``rightmost``.  Interior assignments
     differ from each other by finitely many vertices only, so they never
-    affect boundary quantities; see the index-invariance tests.  A vertex at
-    or below its cell keeps it under any continuation, so one lookup of every
-    address filled to the deepest cell level serves every vertex.
+    affect boundary quantities; see the index-invariance tests.  A vertex
+    keeps its parent's cell unless the parent lies above that cell; level by
+    level, only such vertices are looked up, their bits filled to max_level.
     """
     fill = {"leftmost": "0", "rightmost": "1"}.get(rule)
     if fill is None:
         raise ValueError(f"unknown interior rule {rule!r}")
-    cell = prefix_cell(w.prefixes, np.char.ljust(np.array(t.addresses), w.max_level, fill))
+    width = max(w.max_level, 1)
+    prefixes = np.asarray(w.prefixes, dtype=bytes)
+    length = np.array([len(p) for p in w.prefixes])
+    cell = np.zeros(t.size, dtype=np.intp)
+    for k in range(t.depth + 1):
+        first = (1 << k) - 1
+        level = cell[first:2 * first + 1]
+        if k:
+            level[:] = np.repeat(cell[first // 2:first], 2)
+        offset = np.flatnonzero(length[level] >= k)
+        if offset.size:
+            codes = np.full((offset.size, width), ord(fill), dtype=np.uint8)
+            codes[:, :k] = (offset[:, None] >> np.arange(k - 1, -1, -1)) & 1 | ord("0")
+            level[offset] = prefix_cell(prefixes, codes.view(f"S{width}")[:, 0])
     a = np.array([coeff.a for _, coeff in w.cells])
     b = np.array([coeff.b for _, coeff in w.cells], dtype=np.complex128)
     return a[cell], b[cell]
@@ -158,7 +171,6 @@ class OperatorBundle:
     :func:`tree_operators`, and as triples the 2m x 2n ``symmetry`` strip of
     interior rows and the 2m x 2m interior block ``skew`` of U - U*."""
 
-    tree: TruncatedTree
     walk: WalkSpec
     isometry: Triples
     defect: Triples
@@ -185,7 +197,7 @@ def build_bundle(w: WalkSpec, depth: int, rule: str = "leftmost",
     inner = shift_symmetry(block(ops.isometry, rows, rows), block(ops.defect, rows, rows),
                            w.p, w.q)
     u = mul_diag_block_right(inner, coin_blocks(a, b))
-    return OperatorBundle(tree=ops.tree, walk=w, isometry=ops.isometry, defect=ops.defect,
+    return OperatorBundle(walk=w, isometry=ops.isometry, defect=ops.defect,
                           a=a, b=b, symmetry=shift_symmetry(ops.isometry, ops.defect, w.p, w.q),
                           skew=triples([u.row, u.col], [u.col, u.row], [u.val, -np.conj(u.val)],
                                        u.shape))

@@ -1,7 +1,8 @@
-"""Shared generators for randomized walk specs, the scans that witness the
-prefix-code lookup of ``chiralwalk.cantor``, the dense two-term kernels that
-witness the triple kernels of ``chiralwalk.linalg``, the dense
-full-truncation tree route that witnesses the triples and bundle of
+"""Shared generators for randomized walk specs, the address enumeration that
+witnesses the breadth-first vertex index of ``chiralwalk.tree``, the scans
+that witness the prefix-code lookup of ``chiralwalk.cantor``, the dense
+two-term kernels that witness the triple kernels of ``chiralwalk.linalg``, the
+dense full-truncation tree route that witnesses the triples and bundle of
 ``chiralwalk.treeop``, the dense Falk trace that witnesses
 ``chiralwalk.symbol.falk_pairing``, and the per-site lookup and dense lattice
 route that witness ``chiralwalk.onedim``."""
@@ -24,6 +25,21 @@ from chiralwalk.walk import LineWalkSpec, SphereCoeff, ValidationError, WalkSpec
 
 def sphere_coeff(a: float, phase: float = 0.0) -> SphereCoeff:
     return SphereCoeff.make(a, np.sqrt(1.0 - a * a) * np.exp(1j * phase))
+
+
+# --- the tree's vertex addresses ----------------------------------------------
+
+
+def addresses(depth: int) -> list[str]:
+    """The vertex bit strings of the tree truncated at ``depth``, in
+    breadth-first order, enumerated level by level.  Oracle for the
+    breadth-first index that names a vertex in ``chiralwalk.tree``: entry
+    ``i`` is the address of vertex ``i``."""
+    out, level = [""], [""]
+    for _ in range(depth):
+        level = [v + bit for v in level for bit in "01"]
+        out.extend(level)
+    return out
 
 
 # --- the scanning prefix-code lookup ---------------------------------------
@@ -139,9 +155,10 @@ def shift_matrix(t) -> np.ndarray:
     writes S / sqrt(2) in place at the breadth-first parent (i - 1) // 2; this
     one finds each parent from its address instead."""
     n = t.size
-    index = {v: i for i, v in enumerate(t.addresses)}
+    vertices = addresses(t.depth)
+    index = {v: i for i, v in enumerate(vertices)}
     s = np.zeros((n, n), dtype=np.complex128)
-    for child, v in enumerate(t.addresses[1:], start=1):
+    for child, v in enumerate(vertices[1:], start=1):
         s[child, index[v[:-1]]] = 1.0
     return s
 

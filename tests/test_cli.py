@@ -277,6 +277,7 @@ def meminfo(tmp_path, monkeypatch):
     ["onedim", "--halfwidth", "1"],
     ["falk", "--f-value", "0", "--cylinder", "0"],
     ["falk"],
+    ["falk", "--f-value", "1", "--measure", "bogus"],
     *([cmd, "--tol", tol] for cmd in ("check", "onedim") for tol in ("nan", "inf", "-1", "0")),
     # arrays of 3.4 GB (check) and 11 GB (falk), against 3 GB available
     ["check", "--depth", "20"],

@@ -1,6 +1,7 @@
 import pytest
 
-from chiralwalk.tree import MAX_DEPTH, ROOT, check_vertex, truncated_tree
+from chiralwalk.tree import MAX_DEPTH, check_vertex, truncated_tree
+from helpers import addresses
 
 
 def test_rejects_non_bits():
@@ -20,24 +21,25 @@ def test_depth_out_of_range(d):
 
 
 def test_breadth_first_indexing():
-    t = truncated_tree(4)
-    assert t.addresses[0] == ROOT
+    vertices = addresses(4)
+    assert len(vertices) == truncated_tree(4).size
+    assert vertices[0] == ""
     # breadth-first, lexicographic within a level
-    for i, v in enumerate(t.addresses):
+    for i, v in enumerate(vertices):
         assert (1 << len(v)) - 1 + (int(v, 2) if v else 0) == i
     # depth-k block occupies [2^k - 1, 2^(k+1) - 2]
-    for k in range(t.depth + 1):
+    for k in range(5):
         block = range((1 << k) - 1, (1 << (k + 1)) - 1)
-        assert all(len(t.addresses[i]) == k for i in block)
+        assert all(len(vertices[i]) == k for i in block)
     # lexicographic within each level
-    level2 = [t.addresses[i] for i in range(3, 7)]
+    level2 = vertices[3:7]
     assert level2 == sorted(level2)
 
 
 def test_parent_index_consistency():
     # breadth-first order puts the parent of vertex i > 0 at (i - 1) // 2
-    t = truncated_tree(3)
-    assert t.addresses[0] == ROOT
-    for i, v in enumerate(t.addresses[1:], start=1):
-        assert t.addresses[(i - 1) // 2] == v[:-1]
+    vertices = addresses(3)
+    assert vertices[0] == ""
+    for i, v in enumerate(vertices[1:], start=1):
+        assert vertices[(i - 1) // 2] == v[:-1]
 

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from chiralwalk.cli import CHECK_VERTEX_BYTES
 from chiralwalk.linalg import adjoint, matmul
 from chiralwalk.tree import truncated_tree
 from chiralwalk.treeop import (IDENTITY_NAMES, build_bundle, check_identities,
@@ -11,7 +12,7 @@ from chiralwalk.treeop import (IDENTITY_NAMES, build_bundle, check_identities,
                                conjugated_skew, conjugator_blocks, route_disagreement,
                                shift_symmetry, tree_operators)
 from chiralwalk.walk import WalkSpec
-from helpers import (assert_stored_entries_exact, dense_chirality_direct,
+from helpers import (addresses, assert_stored_entries_exact, dense_chirality_direct,
                      dense_conjugated_skew, dense_skew, dense_symmetry, dense_tree_operators,
                      densify, random_walk_spec, shift_matrix, sphere_coeff)
 
@@ -41,7 +42,7 @@ def chirality(w, dense_ops, rule="leftmost"):
 
 def basis_vector(t, v):
     e = np.zeros(t.size, dtype=complex)
-    e[t.addresses.index(v)] = 1.0
+    e[addresses(t.depth).index(v)] = 1.0
     return e
 
 
@@ -256,8 +257,8 @@ def test_bundle_holds_the_dense_interior():
         dense = dense_tree_operators(truncated_tree(depth))
         for rule in ("leftmost", "rightmost"):
             bundle = build_bundle(w, depth, rule=rule)
-            n = bundle.tree.size
-            inner = np.flatnonzero([len(v) <= depth - 2 for v in bundle.tree.addresses])
+            n = dense.tree.size
+            inner = np.flatnonzero([len(v) <= depth - 2 for v in addresses(depth)])
             inner2 = np.concatenate([inner, n + inner])
             a, b = coin_values(w, dense.tree, rule)
             assert bundle.a.tobytes() == a[inner].tobytes(), (depth, rule)
@@ -281,7 +282,7 @@ def test_products_match_the_dense_oracle():
         dense = dense_tree_operators(truncated_tree(depth))
         for rule in ("leftmost", "rightmost"):
             bundle = build_bundle(w, depth, rule=rule)
-            n, m = bundle.tree.size, len(bundle.a)
+            n, m = dense.tree.size, len(bundle.a)
             inner2 = np.r_[:m, n:n + m]
             gamma = dense_symmetry(dense.isometry, dense.defect, w.p, w.q)[inner2]
             gram = densify(matmul(bundle.symmetry, adjoint(bundle.symmetry)))
@@ -339,13 +340,12 @@ def test_chirality_locality():
     changed = WalkSpec.make(0.3, np.sqrt(1 - 0.09), [
         ("0", sphere_coeff(0.5)), ("10", sphere_coeff(-0.4)), ("11", sphere_coeff(-0.8, 1.0))])
     dense = dense_tree_operators(truncated_tree(5))
-    t = dense.tree
-    far = [i for i, v in enumerate(t.addresses) if v.startswith("00")]
+    far = [i for i, v in enumerate(addresses(5)) if v.startswith("00")]
     block = np.ix_(far, far)
     c1, c2 = chirality(base, dense), chirality(changed, dense)
     assert np.array_equal(c1[block], c2[block])
     # and something does change under "11"
-    near = [i for i, v in enumerate(t.addresses) if v.startswith("11")]
+    near = [i for i, v in enumerate(addresses(5)) if v.startswith("11")]
     assert np.max(np.abs(c1[np.ix_(near, near)] - c2[np.ix_(near, near)])) > 1e-3
 
 
@@ -366,19 +366,17 @@ def test_bundle_dimensions(ops6):
     bundle = build_bundle(w, 6, ops=ops6)
     n = 2 ** 7 - 1
     m = 2 ** 5 - 1
-    assert bundle.tree.size == n
     assert bundle.isometry.shape == (n, m)
     assert bundle.defect.shape == (m, n)
     assert bundle.a.shape == bundle.b.shape == (m,)
     assert bundle.symmetry.shape == (2 * m, 2 * n)
     assert bundle.skew.shape == (2 * m, 2 * m)
     # the first m vertices are those of depth <= d - 2
-    assert [len(v) <= 4 for v in bundle.tree.addresses] == [i < m for i in range(n)]
+    assert [len(v) <= 4 for v in addresses(6)] == [i < m for i in range(n)]
 
 
-def _check_peak(depth: int, seed: int) -> int:
-    """tracemalloc peak of building and checking a random walk's bundle."""
-    w = random_walk_spec(np.random.default_rng(seed))
+def _check_peak(depth: int, w: WalkSpec) -> int:
+    """tracemalloc peak of building and checking a walk's bundle."""
     tracemalloc.start()
     try:
         check_identities(build_bundle(w, depth))
@@ -392,14 +390,26 @@ def test_check_holds_no_dense_square():
     # n x n complex arrays (about 0.08 on the triples; 3.1 with the dense
     # strip, 4.6 when L and E were n x n)
     n = truncated_tree(9).size
-    peak = _check_peak(9, 53)
+    peak = _check_peak(9, random_walk_spec(np.random.default_rng(53)))
     assert peak < 3.5 * 16 * n * n, peak / (16 * n * n)
 
 
 def test_check_memory_is_linear_in_the_vertices():
     # four times the vertices: about 4x the peak when it is linear, 16x when
     # it is quadratic
-    assert _check_peak(14, 54) < 6 * _check_peak(12, 54)
+    w = random_walk_spec(np.random.default_rng(54))
+    assert _check_peak(14, w) < 6 * _check_peak(12, w)
+
+
+def test_check_memory_does_not_grow_with_the_cell_depth():
+    # a comb whose cells reach level 2000: the check's peak per vertex stays
+    # within the preflight's budget (about 10.7 KB per vertex when every
+    # vertex's address was padded to the deepest cell level)
+    code = ["0" * k + "1" for k in range(2000)] + ["0" * 2000]
+    rng = np.random.default_rng(55)
+    w = WalkSpec.make(0.3, np.sqrt(1 - 0.09),
+                      [(prefix, sphere_coeff(float(rng.uniform(-0.9, 0.9)))) for prefix in code])
+    assert _check_peak(12, w) < CHECK_VERTEX_BYTES * truncated_tree(12).size
 
 
 def test_build_bundle_rejects_mismatched_ops(ops6):

@@ -11,7 +11,7 @@ from chiralwalk.tree import truncated_tree
 from chiralwalk.treeop import coin_values
 from chiralwalk.walk import (LineWalkSpec, SphereCoeff, ValidationError, WalkSpec,
                              line_walk_to_json, parse_line_walk, parse_walk, walk_to_json)
-from helpers import (random_partition, random_walk_spec, scan_eval_boundary,
+from helpers import (addresses, random_partition, random_walk_spec, scan_eval_boundary,
                      scan_eval_vertex, sphere_coeff)
 
 
@@ -52,9 +52,9 @@ def test_walkspec_normalizes_pq():
 
 def coin_at(w: WalkSpec, v: str, rule: str = "leftmost") -> tuple[float, complex]:
     """The coin data (a, b) that ``treeop.coin_values`` gives the vertex v."""
-    t = truncated_tree(max(len(v), 1))
-    a, b = coin_values(w, t, rule)
-    i = t.addresses.index(v)
+    depth = max(len(v), 1)
+    a, b = coin_values(w, truncated_tree(depth), rule)
+    i = addresses(depth).index(v)
     return a[i], b[i]
 
 
@@ -87,11 +87,13 @@ def test_eval_vertex_constant_on_cell_subtrees():
 
 
 def _lookup_walks():
-    """Random partitions of levels 1-6 and the level-40 comb."""
+    """Random partitions of levels 1-6, the level-40 comb and the one-cell
+    walk."""
     rng = np.random.default_rng(18)
     codes = [random_partition(rng, level, splits=4 * level)
              for level in range(1, 7) for _ in range(3)]
     codes.append(["0" * k + "1" for k in range(40)] + ["0" * 40])
+    codes.append([""])
     return [WalkSpec.make(0.3, np.sqrt(1 - 0.09),
                           [(prefix, sphere_coeff(float(rng.uniform(-0.9, 0.9))))
                            for prefix in code])
@@ -105,7 +107,7 @@ def test_lookup_matches_the_scan():
     for w in _lookup_walks():
         for rule in ("leftmost", "rightmost"):
             a, b = coin_values(w, t, rule)
-            expected = [scan_eval_vertex(w, v, rule) for v in t.addresses]
+            expected = [scan_eval_vertex(w, v, rule) for v in addresses(8)]
             assert a.tolist() == [c.a for c in expected], (w.prefixes, rule)
             assert b.tolist() == [c.b for c in expected], (w.prefixes, rule)
         if w.max_level <= 8:
