@@ -18,8 +18,6 @@ from typing import Union
 
 import numpy as np
 
-from .tree import check_vertex
-
 
 @dataclass(frozen=True)
 class Dyadic:
@@ -49,12 +47,6 @@ class Dyadic:
         e = max(self.exp, other.exp)
         return Dyadic.make((self.num << (e - self.exp)) + (other.num << (e - other.exp)), e)
 
-    def __sub__(self, other: "Dyadic") -> "Dyadic":
-        return self + (-other)
-
-    def __neg__(self) -> "Dyadic":
-        return Dyadic(-self.num, self.exp)
-
     def __mul__(self, other: Union["Dyadic", int]) -> "Dyadic":
         if isinstance(other, int):
             return Dyadic.make(self.num * other, self.exp)
@@ -62,18 +54,20 @@ class Dyadic:
 
     __rmul__ = __mul__
 
-    def __lt__(self, other: "Dyadic") -> bool:
-        e = max(self.exp, other.exp)
-        return (self.num << (e - self.exp)) < (other.num << (e - other.exp))
-
-    def __le__(self, other: "Dyadic") -> bool:
-        return self == other or self < other
-
     def __float__(self) -> float:
         return self.num / (1 << self.exp)
 
     def __str__(self) -> str:
         return f"{self.num}/2^{self.exp}" if self.exp else str(self.num)
+
+
+_BITS = frozenset("01")
+
+
+def check_vertex(v: str) -> str:
+    if not isinstance(v, str) or not _BITS.issuperset(v):
+        raise ValueError(f"vertex address must be a bit string, got {v!r}")
+    return v
 
 
 @dataclass(frozen=True)

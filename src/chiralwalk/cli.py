@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -318,7 +319,9 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once and shared by every ``main`` call."""
     parser = _Parser(prog="chiralwalk",
                      description="Chirality-operator index experiments on trees and lines.")
     sub = parser.add_subparsers(dest="command", required=True)

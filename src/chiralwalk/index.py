@@ -83,20 +83,15 @@ def s_index_exact(w: WalkSpec, m: ProductMeasure) -> IndexReport:
     """
     cells = _checked_cell_windings(w)
     per_cell = []
-    numeric = 0.0
-    exact: Dyadic | None = Dyadic(0, 0) if m.kind == "uniform" else None
+    total: Dyadic | float = Dyadic(0, 0) if m.kind == "uniform" else 0.0
     for prefix, _, winding in cells:
         mu = cylinder_measure(m, Cylinder(prefix))
         per_cell.append(CellWinding(prefix, winding, float(mu)))
-        numeric += winding * float(mu)
-        if exact is not None:
-            exact = exact + mu * winding
-    if exact is not None:
-        numeric = float(exact)
+        total = total + mu * winding
     return IndexReport(
         mode="exact",
-        numeric=numeric,
-        exact=exact,
+        numeric=float(total),
+        exact=total if isinstance(total, Dyadic) else None,
         per_cell=tuple(per_cell),
         classification_counts=_classification_counts([c.winding for c in per_cell],
                                                      [1] * len(per_cell)),

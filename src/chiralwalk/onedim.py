@@ -44,7 +44,6 @@ class LineBundle:
     transfer matrices read: the middle, sites -1 and 0, and ``TAIL_SITES``
     tail sites at each end, so ``a[0]`` and ``a[-1]`` are the tail values."""
 
-    sites: np.ndarray
     a: np.ndarray
     b: np.ndarray
 
@@ -67,7 +66,7 @@ def build_line(spec: LineWalkSpec, halfwidth: int) -> LineBundle:
     middle = np.array(support, dtype=np.int64) - sites[0]    # an index even when empty
     a[middle] = [c.a for _, c in spec.middle]
     b[middle] = [c.b for _, c in spec.middle]
-    return LineBundle(sites=sites, a=a, b=b)
+    return LineBundle(a=a, b=b)
 
 
 def chirality_map(bundle: LineBundle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

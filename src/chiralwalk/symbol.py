@@ -206,7 +206,6 @@ class HalfLineOperator:
     """Truncation of the symbol operator with the unilateral shift in place
     of the tree isometry."""
 
-    n: int
     matrix: np.ndarray
 
 
@@ -231,7 +230,7 @@ def half_line_operator(s: SymbolLoop, n: int) -> HalfLineOperator:
     m = (c_plus * v - c_minus * v.conj().T
          + (1.0 + s.p) * s.b_abs * corner
          - 2.0 * s.p * s.b_abs * np.eye(n))
-    return HalfLineOperator(n, m)
+    return HalfLineOperator(m)
 
 
 class KernelVector(NamedTuple):

@@ -1,9 +1,9 @@
-"""Vertex bit strings and the breadth-first truncation of the binary tree.
+"""The breadth-first truncation of the binary tree.
 
-A vertex is a bit string over {'0', '1'}; the empty string is the root.  The
-truncated tree at depth ``d`` names each vertex of depth <= d by its
-breadth-first index: ``v`` at level k is ``2^k - 1 + int(v, 2)`` and the parent
-of ``i > 0`` is ``(i - 1) // 2``, so operators show their block-by-depth form.
+The truncated tree at depth ``d`` names each vertex of depth <= d by its
+breadth-first index: the vertex reached from the root by the bits ``v`` is
+``2^k - 1 + int(v, 2)`` at level k = len(v), and the parent of ``i > 0`` is
+``(i - 1) // 2``, so operators show their block-by-depth form.
 """
 
 from __future__ import annotations
@@ -11,14 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 MAX_DEPTH = 20  # 2^21 - 1 vertices; a check at depth 20 needs about 3.4 GB
-
-_BITS = frozenset("01")
-
-
-def check_vertex(v: str) -> str:
-    if not isinstance(v, str) or not _BITS.issuperset(v):
-        raise ValueError(f"vertex address must be a bit string, got {v!r}")
-    return v
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ A tree walk assigns a coin coefficient (a, b) with a^2 + |b|^2 = 1 to each
 cell of a cylinder partition of the boundary; such cylinder-locally-constant
 data is what makes the index pairings exactly computable.  A line walk
 assigns coefficients to lattice sites with eventually-constant tails.  Both
-come with a JSON file format that round-trips exactly.
+are read from JSON documents, parsed and validated here.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ def _normalize_pair(x: float, z: complex, what: str, tol: float = SPHERE_TOL):
         raise ValidationError(f"{what} = ({x}, {z}) is not on the unit sphere "
                               f"(norm {norm:.9f}, tolerance {tol})")
     if abs(norm - 1.0) <= 1e-14:
-        # already normalized to rounding precision; keep the stored values so
-        # that serialize/parse round-trips are bit exact
+        # already normalized to rounding precision: use the input bit for bit
         return x, z
     return x / norm, z / norm
 
@@ -114,10 +113,6 @@ def _complex_from(obj, what: str) -> complex:
         raise ValidationError(f"{what} must be an object with 're' and 'im'") from None
 
 
-def _complex_to(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
-
-
 def _coeff_from(obj, what: str) -> SphereCoeff:
     try:
         a = _real(obj["a"])
@@ -150,16 +145,6 @@ def parse_walk(text: str) -> WalkSpec:
             raise ValidationError(f"cell {entry!r} needs a string 'prefix'")
         cells.append((prefix, _coeff_from(entry, f"cell {prefix!r}")))
     return WalkSpec.make(p, q, cells)
-
-
-def walk_to_json(w: WalkSpec) -> str:
-    doc = {
-        "p": w.p,
-        "q": _complex_to(w.q),
-        "cells": [{"prefix": prefix, "a": c.a, "b": _complex_to(c.b)}
-                  for prefix, c in w.cells],
-    }
-    return json.dumps(doc, indent=2)
 
 
 @dataclass(frozen=True)
@@ -202,12 +187,3 @@ def parse_line_walk(text: str) -> LineWalkSpec:
             raise ValidationError(f"middle entry {entry!r} needs an integer 'n'")
         middle.append((n, _coeff_from(entry, f"middle site {n}")))
     return LineWalkSpec.make(left, right, middle)
-
-
-def line_walk_to_json(spec: LineWalkSpec) -> str:
-    doc = {
-        "left": {"a": spec.left.a, "b": _complex_to(spec.left.b)},
-        "right": {"a": spec.right.a, "b": _complex_to(spec.right.b)},
-        "middle": [{"n": n, "a": c.a, "b": _complex_to(c.b)} for n, c in spec.middle],
-    }
-    return json.dumps(doc, indent=2)

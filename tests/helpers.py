@@ -1,4 +1,5 @@
-"""Shared generators for randomized walk specs, the address enumeration that
+"""Shared generators for randomized walk specs, the JSON writers of the walk
+file formats that ``chiralwalk.walk`` parses, the address enumeration that
 witnesses the breadth-first vertex index of ``chiralwalk.tree``, the scans
 that witness the prefix-code lookup of ``chiralwalk.cantor``, the dense
 two-term kernels that witness the triple kernels of ``chiralwalk.linalg``, the
@@ -9,22 +10,48 @@ route that witness ``chiralwalk.onedim``."""
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from chiralwalk.cantor import Cylinder
+from chiralwalk.cantor import Cylinder, check_vertex
 from chiralwalk.linalg import Triples
-from chiralwalk.onedim import CRITICAL, TAIL_GAP
+from chiralwalk.onedim import CRITICAL, TAIL_GAP, TAIL_SITES
 from chiralwalk.symbol import unilateral_shift
-from chiralwalk.tree import check_vertex
 from chiralwalk.treeop import TreeOperators, coin_blocks, conjugator_blocks
 from chiralwalk.walk import LineWalkSpec, SphereCoeff, ValidationError, WalkSpec
 
 
 def sphere_coeff(a: float, phase: float = 0.0) -> SphereCoeff:
     return SphereCoeff.make(a, np.sqrt(1.0 - a * a) * np.exp(1j * phase))
+
+
+# --- walk files ---------------------------------------------------------------
+
+
+def _complex_to(z: complex) -> dict:
+    return {"re": z.real, "im": z.imag}
+
+
+def walk_to_json(w: WalkSpec) -> str:
+    doc = {
+        "p": w.p,
+        "q": _complex_to(w.q),
+        "cells": [{"prefix": prefix, "a": c.a, "b": _complex_to(c.b)}
+                  for prefix, c in w.cells],
+    }
+    return json.dumps(doc, indent=2)
+
+
+def line_walk_to_json(spec: LineWalkSpec) -> str:
+    doc = {
+        "left": {"a": spec.left.a, "b": _complex_to(spec.left.b)},
+        "right": {"a": spec.right.a, "b": _complex_to(spec.right.b)},
+        "middle": [{"n": n, "a": c.a, "b": _complex_to(c.b)} for n, c in spec.middle],
+    }
+    return json.dumps(doc, indent=2)
 
 
 # --- the tree's vertex addresses ----------------------------------------------
@@ -333,6 +360,13 @@ class DenseLineBundle:
     a: np.ndarray
     b: np.ndarray
     skew: np.ndarray
+
+
+def line_sites(spec: LineWalkSpec) -> np.ndarray:
+    """The sites whose coin data ``onedim.build_line`` holds, in order: the
+    middle, sites -1 and 0, and ``TAIL_SITES`` tail sites beyond each end."""
+    support = [n for n, _ in spec.middle] + [0]
+    return np.arange(min(support) - TAIL_SITES, max(support) + TAIL_SITES + 1)
 
 
 def site_coeffs(spec: LineWalkSpec, sites) -> tuple[np.ndarray, np.ndarray]:

@@ -12,9 +12,8 @@ import pytest
 
 from chiralwalk import cli, onedim
 from chiralwalk.cli import main
-from chiralwalk.walk import (LineWalkSpec, WalkSpec, line_walk_to_json,
-                             walk_to_json)
-from helpers import sphere_coeff
+from chiralwalk.walk import LineWalkSpec, WalkSpec
+from helpers import line_walk_to_json, sphere_coeff, walk_to_json
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -232,9 +231,58 @@ def test_sweep_empty_grid(capsys):
     assert out.splitlines() == ["p,a,winding_residues,winding_quadrature,min_abs_loop,status"]
 
 
+def test_sweep_default_grids_write_the_phase_diagram(capsys, tmp_path):
+    out_path = tmp_path / "sweep.csv"
+    assert run(capsys, "sweep", "--out", str(out_path)) == (0, "", "")
+    rows = list(csv.DictReader(io.StringIO(out_path.read_text())))
+    assert len(rows) == 4 * 39
+    assert sorted({float(row["p"]) for row in rows}) == [0.0, 0.25, 0.5, 0.75]
+
+
 def test_sweep_rejects_bad_a(capsys):
     code, _, err = run(capsys, "sweep", "--p-grid", "0", "--a-grid", "0.5,1.5")
     assert code == 3
+
+
+def desk_calls(walk_file, line_file) -> dict:
+    """One call of each subcommand, with the index both exact (bare) and
+    Monte Carlo: the seven calls of a desk session, at small sizes."""
+    return {
+        "check": ["check", "--walk", walk_file, "--depth", "4"],
+        "winding": ["winding", "--a", "0.6", "--p", "0.25"],
+        "index_mc": ["index", "--walk", walk_file, "--mode", "mc",
+                     "--measure", "bernoulli:0.3", "--samples", "300", "--seed", "5"],
+        "index": ["index", "--walk", walk_file],
+        "onedim": ["onedim", "--walk", line_file, "--halfwidth", "40"],
+        "falk": ["falk", "--cylinder", "01"],
+        "sweep": ["sweep", "--p-grid", "0,0.5", "--a-grid=-0.8:0.8:0.4", "--samples", "256"],
+    }
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch, walk_file, line_file):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    calls = desk_calls(walk_file, line_file)
+    assert run(capsys, *calls["winding"])[0] == 0
+    built.clear()
+    for kind in ("check", "winding", "index", "onedim", "falk", "sweep"):
+        assert run(capsys, *calls[kind])[0] == 0, kind
+    assert built == []
+
+
+def test_no_parser_state_leaks_between_calls(capsys, walk_file, line_file):
+    # a bare index after a Monte Carlo one must still be exact
+    calls = desk_calls(walk_file, line_file)
+    first = {kind: run(capsys, *argv) for kind, argv in calls.items()}
+    assert json.loads(first["index"][1])["mode"] == "exact"
+    reordered = ["check", "winding", "index", "index_mc", "onedim", "falk", "sweep"]
+    assert {kind: run(capsys, *calls[kind]) for kind in reordered} == first
 
 
 def test_output_file(capsys, walk_file, tmp_path):

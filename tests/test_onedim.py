@@ -7,8 +7,8 @@ from chiralwalk import onedim
 from chiralwalk.onedim import (InconclusiveIndexError, build_line,
                                chirality_map, fredholm_index)
 from chiralwalk.walk import LineWalkSpec
-from helpers import (InconclusiveTruncationError, dense_build_line,
-                     dense_chirality_map, dense_fredholm_index, site_coeffs, sphere_coeff)
+from helpers import (InconclusiveTruncationError, dense_build_line, dense_chirality_map,
+                     dense_fredholm_index, line_sites, site_coeffs, sphere_coeff)
 
 
 def wall_spec(a_left, a_right, ramp=5):
@@ -184,7 +184,9 @@ def test_closed_form_diagonals_are_the_dense_map():
         sub, diag, sup = chirality_map(bundle)
         dense = dense_chirality_map(dense_build_line(spec, 40))
         assert np.array_equal(dense, np.triu(np.tril(dense, 1), -1))
-        window = dense[bundle.sites[:, None] + 40, bundle.sites[None, :] + 40]
+        sites = line_sites(spec)
+        assert len(diag) == len(sites)
+        window = dense[sites[:, None] + 40, sites[None, :] + 40]
         assert np.max(np.abs(np.diag(window) - diag)) < 2e-15
         assert np.max(np.abs(np.diag(window, 1) - sup)) < 2e-15
         assert np.max(np.abs(np.diag(window, -1) - sub)) < 2e-15
@@ -230,7 +232,7 @@ def test_result_does_not_depend_on_the_halfwidth():
     spec = wall_spec(0.9, 0.3)
     results = {fredholm_index(build_line(spec, halfwidth)) for halfwidth in (12, 40, 100_000)}
     assert len(results) == 1
-    assert len(build_line(spec, 100_000).sites) == 2 * 5 + 1 + 2 * onedim.TAIL_SITES
+    assert len(build_line(spec, 100_000).a) == 2 * 5 + 1 + 2 * onedim.TAIL_SITES
 
 
 def test_tail_margins_are_the_transfer_eigenvalue_distances():
@@ -297,17 +299,19 @@ def test_build_line_on_16000_middle_sites_is_fast():
     start = time.perf_counter()
     bundle = build_line(spec, 16000)
     assert time.perf_counter() - start < 1.0
-    inside = (bundle.sites >= -8000) & (bundle.sites < 8000)
+    sites = line_sites(spec)
+    assert len(bundle.a) == len(sites)
+    inside = (sites >= -8000) & (sites < 8000)
     assert bundle.a[inside].tolist() == [c.a for _, c in middle]
-    assert set(bundle.a[bundle.sites < -8000]) == {spec.left.a}
-    assert set(bundle.a[bundle.sites >= 8000]) == {spec.right.a}
+    assert set(bundle.a[sites < -8000]) == {spec.left.a}
+    assert set(bundle.a[sites >= 8000]) == {spec.right.a}
     # a two-site wall spanning 1M sites: every site between is a tail value
     ends = [(-500_000, sphere_coeff(0.5, 1.0)), (499_999, sphere_coeff(-0.4, 2.0))]
     spec = LineWalkSpec.make(sphere_coeff(0.9, 0.5), sphere_coeff(0.3, 1.5), ends)
     start = time.perf_counter()
     bundle = build_line(spec, 1_000_000)
     assert time.perf_counter() - start < 0.2
-    assert len(bundle.sites) == 1_000_000 + 2 * onedim.TAIL_SITES
+    assert len(bundle.a) == len(bundle.b) == 1_000_000 + 2 * onedim.TAIL_SITES
     assert (bundle.a[0], bundle.b[-1]) == (spec.left.a, spec.right.b)
     assert (bundle.a[3], bundle.a[-4]) == (ends[0][1].a, ends[1][1].a)
     assert set(bundle.b[4:500_003]) == {spec.left.b}
@@ -335,5 +339,5 @@ def test_build_line_is_the_per_site_lookup():
         low, high = min(positions + [0]), max(positions + [0])
         sites = np.arange(low - onedim.TAIL_SITES, high + onedim.TAIL_SITES + 1)
         a, b = site_coeffs(spec, sites)
-        for got, want in ((bundle.sites, sites), (bundle.a, a), (bundle.b, b)):
+        for got, want in ((bundle.a, a), (bundle.b, b)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

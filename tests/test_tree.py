@@ -1,12 +1,7 @@
 import pytest
 
-from chiralwalk.tree import MAX_DEPTH, check_vertex, truncated_tree
+from chiralwalk.tree import MAX_DEPTH, truncated_tree
 from helpers import addresses
-
-
-def test_rejects_non_bits():
-    with pytest.raises(ValueError):
-        check_vertex("0a1")
 
 
 @pytest.mark.parametrize("d,size", [(1, 3), (2, 7), (3, 15), (10, 2047)])

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import numpy as np
@@ -10,9 +11,10 @@ from chiralwalk.onedim import build_line
 from chiralwalk.tree import truncated_tree
 from chiralwalk.treeop import coin_values
 from chiralwalk.walk import (LineWalkSpec, SphereCoeff, ValidationError, WalkSpec,
-                             line_walk_to_json, parse_line_walk, parse_walk, walk_to_json)
-from helpers import (addresses, random_partition, random_walk_spec, scan_eval_boundary,
-                     scan_eval_vertex, sphere_coeff)
+                             parse_line_walk, parse_walk)
+from helpers import (addresses, line_sites, line_walk_to_json, random_partition,
+                     random_walk_spec, scan_eval_boundary, scan_eval_vertex, sphere_coeff,
+                     walk_to_json)
 
 
 def test_coeff_normalization():
@@ -167,6 +169,30 @@ def test_parse_rejects_garbage():
             parse('{"p": 1' + "0" * 5000 + "}")
 
 
+def test_parse_keeps_coefficients_on_the_sphere_bit_for_bit():
+    # 0.6^2 + 0.8^2 rounds to within 1e-14 of 1, so the literals are kept
+    w = parse_walk('{"p": 0.6, "q": {"re": 0.0, "im": 0.8}, "cells": ['
+                   '{"prefix": "0", "a": 0.6, "b": {"re": 0.0, "im": -0.8}}, '
+                   '{"prefix": "1", "a": -0.8, "b": {"re": 0.6, "im": 0.0}}]}')
+    assert (w.p, w.q) == (0.6, 0.8j)
+    assert [(c.a, c.b) for _, c in w.cells] == [(0.6, -0.8j), (-0.8, 0.6)]
+    spec = parse_line_walk('{"left": {"a": 0.8, "b": {"re": 0.6, "im": 0.0}}, '
+                           '"right": {"a": -0.6, "b": {"re": 0.0, "im": 0.8}}, '
+                           '"middle": [{"n": 2, "a": 0.0, "b": {"re": -1.0, "im": 0.0}}]}')
+    assert (spec.left, spec.right) == (SphereCoeff(0.8, 0.6), SphereCoeff(-0.6, 0.8j))
+    assert spec.middle == ((2, SphereCoeff(0.0, -1.0)),)
+
+
+def test_parse_normalizes_a_coefficient_near_the_sphere():
+    doc = {"p": 0.0, "q": {"re": 1.0, "im": 0.0},
+           "cells": [{"prefix": "", "a": 0.6, "b": {"re": 0.8000005, "im": 0.0}}]}
+    coeff = parse_walk(json.dumps(doc)).cells[0][1]
+    norm = math.sqrt(0.6 ** 2 + 0.8000005 ** 2)
+    assert 1e-7 < norm - 1.0 < 1e-6
+    assert (coeff.a, coeff.b) == (0.6 / norm, 0.8000005 / norm)
+    assert coeff.a ** 2 + abs(coeff.b) ** 2 == pytest.approx(1.0, abs=1e-15)
+
+
 def test_roundtrip_exact():
     rng = np.random.default_rng(17)
     for _ in range(20):
@@ -178,7 +204,8 @@ def test_line_spec_and_roundtrip():
     left, right = sphere_coeff(0.9), sphere_coeff(0.3)
     spec = LineWalkSpec.make(left, right, [(0, sphere_coeff(0.5))])
     bundle = build_line(spec, 20)
-    coeffs = {int(n): SphereCoeff(a, b) for n, a, b in zip(bundle.sites, bundle.a, bundle.b)}
+    coeffs = {int(n): SphereCoeff(a, b)
+              for n, a, b in zip(line_sites(spec), bundle.a, bundle.b, strict=True)}
     assert coeffs[-3] == coeffs[-1] == left
     assert coeffs[1] == coeffs[3] == right
     assert coeffs[0] == sphere_coeff(0.5)
