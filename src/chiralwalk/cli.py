@@ -44,8 +44,9 @@ MEMINFO = "/proc/meminfo"
 STATUS = "/proc/self/status"
 BASE_BYTES = 64e6    # interpreter, numpy and BLAS before the first dense array
 # peaks per unit of the 1-D inputs, measured with tracemalloc at 1e5-4e6 units
-# and rounded up: 72 B per circle sample (winding, sweep), 24 B per Monte Carlo
-# sample, 710 B per sweep row (with its loop), 32 B per range-grid value,
+# and rounded up: 48 B per circle sample (winding, sweep; 16 B of it is the
+# cached circle, resident until a call asks for another count), 24 B per
+# Monte Carlo sample, 710 B per sweep row (with its loop), 32 B per range-grid value,
 # 48 B per unit of falk --trunc (the diagonals of its banded factors),
 # 208 B per lattice site that onedim reads (the bundle's coefficient arrays,
 # the chirality diagonals and the transfer matrices) and 1071 B per tree vertex
@@ -293,8 +294,8 @@ def cmd_sweep(args) -> int:
     _at_least("--samples", args.samples, QUADRATURE_MIN_SAMPLES)
     p_grid = _parse_grid("--p-grid", args.p_grid)
     a_grid = _parse_grid("--a-grid", args.a_grid)
-    # the rows are held until the CSV is written; one row's circle samples
-    # are live at a time
+    # the rows are held until the CSV is written; every row reads the one
+    # cached circle, and one row's loop values are live at a time
     _preflight(f"{len(p_grid)} x {len(a_grid)} grid points at --samples {args.samples}",
                ROW_BYTES * len(p_grid) * len(a_grid) + CIRCLE_SAMPLE_BYTES * args.samples)
     loops = [_loop(a, p, math.sqrt(max(1.0 - p * p, 0.0))) for p in p_grid for a in a_grid]

@@ -16,6 +16,7 @@ truncation of the symbol operator and the Falk trace pairing live here too.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -90,9 +91,6 @@ class SymbolLoop:
                 - self.q.conjugate() * (1.0 - self.a) * w.conjugate()
                 - 2.0 * self.p * self.b_abs)
 
-    def on_circle(self, angles: np.ndarray) -> np.ndarray:
-        return self(np.exp(1j * np.asarray(angles, dtype=float)))
-
 
 @dataclass(frozen=True)
 class PoleData:
@@ -131,8 +129,21 @@ def solve_w0(s: SymbolLoop) -> complex:
     return s.q.conjugate() * s.p * s.b_abs / (s.a * abs(s.q) ** 2)
 
 
+@functools.lru_cache(maxsize=1)
+def _circle(n: int) -> np.ndarray:
+    """The n + 1 points exp(2 pi i k / n), k = 0..n, closing on the first.
+
+    One circle is cached, so the calls of one sample count share it until a
+    call asks for another count; the array is read-only because it is shared.
+    """
+    w = np.exp(1j * (2.0 * np.pi * np.arange(n + 1) / n))
+    w.flags.writeable = False
+    return w
+
+
 def winding_quadrature(s: SymbolLoop, n_samples: int = 4096) -> float:
-    """Winding number by phase unwrapping over uniform circle samples.
+    """Winding number by phase unwrapping over the cached circle of
+    ``n_samples`` points.
 
     The summed, wrapped argument increments telescope to 2 pi k exactly once
     the sampling resolves every increment below pi.  Near the locus too few
@@ -141,10 +152,9 @@ def winding_quadrature(s: SymbolLoop, n_samples: int = 4096) -> float:
     if n_samples < QUADRATURE_MIN_SAMPLES:
         raise ValueError(f"need at least {QUADRATURE_MIN_SAMPLES} samples, got {n_samples}")
     check_off_locus(s.a, s.p)
-    angles = 2.0 * np.pi * np.arange(n_samples + 1) / n_samples
-    values = s.on_circle(angles)
-    phases = np.angle(values)
-    increments = np.angle(np.exp(1j * np.diff(phases)))
+    steps = np.diff(np.angle(s(_circle(n_samples))))
+    # each step wrapped into (-pi, pi]: the same bits as np.angle(np.exp(1j * steps))
+    increments = np.arctan2(np.sin(steps), np.cos(steps))
     return float(np.sum(increments) / (2.0 * np.pi))
 
 
@@ -316,8 +326,12 @@ def falk_cylinder_pairing(cyl: Cylinder, measure: ProductMeasure, trunc: int) ->
 
 
 def loop_min(s: SymbolLoop, samples: int = 8192) -> tuple[float, complex]:
-    """Minimum of |g| over uniform circle samples, with the minimizing point."""
-    angles = 2.0 * np.pi * np.arange(samples) / samples
-    values = np.abs(s.on_circle(angles))
+    """Minimum of |g| over the ``samples`` points of the cached circle (the
+    circle ``winding_quadrature`` reads at that count, without its closing
+    point), with the minimizing point exp(2 pi i k / samples)."""
+    if samples < 1:
+        raise ValueError(f"need at least 1 circle sample, got {samples}")
+    w = _circle(samples)[:samples]
+    values = np.abs(s(w))
     k = int(np.argmin(values))
-    return float(values[k]), complex(np.exp(1j * angles[k]))
+    return float(values[k]), complex(w[k])

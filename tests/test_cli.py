@@ -16,6 +16,7 @@ from chiralwalk.walk import LineWalkSpec, WalkSpec
 from helpers import line_walk_to_json, sphere_coeff, walk_to_json
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture()
@@ -237,6 +238,9 @@ def test_sweep_default_grids_write_the_phase_diagram(capsys, tmp_path):
     rows = list(csv.DictReader(io.StringIO(out_path.read_text())))
     assert len(rows) == 4 * 39
     assert sorted({float(row["p"]) for row in rows}) == [0.0, 0.25, 0.5, 0.75]
+    # pinned byte for byte, with the 7 singular rows where the grid
+    # arithmetic lands within float noise of |a| = |p|
+    assert out_path.read_bytes() == (GOLDEN / "sweep_default.csv").read_bytes()
 
 
 def test_sweep_rejects_bad_a(capsys):
@@ -643,6 +647,72 @@ def test_falk_cylinder_golden(capsys, measure, pairing):
     assert code == 0
     assert out == ('{\n  "cylinder": "0110",\n  "measure": "%s",\n  "pairing": %s,\n'
                    '  "trunc": 200\n}\n' % (measure, pairing))
+
+
+# the circle-loop reports pinned byte for byte: every quadrature winding and
+# sampled minimum (and the singular witness) of the sweep and windings below
+GOLDEN_WINDING_OK = """{
+  "a": 0.8,
+  "min_abs_loop": 0.5600009584814207,
+  "p": 0.6,
+  "poles": {
+    "alpha": {
+      "abs": 0.6666666666666665,
+      "im": -0.5333333333333332,
+      "re": 0.39999999999999986
+    },
+    "beta": {
+      "abs": 0.16666666666666663,
+      "im": 0.1333333333333333,
+      "re": -0.09999999999999996
+    }
+  },
+  "q": {
+    "im": 0.64,
+    "re": 0.48
+  },
+  "status": "ok",
+  "winding_quadrature": 1.0,
+  "winding_residues": 1
+}
+"""
+
+GOLDEN_WINDING_SINGULAR = """{
+  "a": 0.5,
+  "min_abs_loop": 1.1102230246251565e-16,
+  "p": 0.5,
+  "q": {
+    "im": 0.0,
+    "re": 0.8660254037844386
+  },
+  "status": "singular",
+  "w0": {
+    "abs": 1.0,
+    "im": 0.0,
+    "re": 1.0
+  },
+  "witness": {
+    "im": 0.0,
+    "re": 1.0
+  }
+}
+"""
+
+
+def test_sweep_golden(capsys):
+    # the desk-mix benchmark's grid
+    code, out, _ = run(capsys, "sweep", "--p-grid", "0,0.5", "--a-grid=-0.95:0.95:0.1")
+    assert code == 0
+    assert out == (GOLDEN / "sweep_desk.csv").read_bytes().decode()
+
+
+@pytest.mark.parametrize("argv,code,golden", [
+    (["--a", "0.8", "--p", "0.6", "--q-re", "0.48", "--q-im", "0.64", "--b-phase", "1.0"],
+     0, GOLDEN_WINDING_OK),
+    (["--a", "0.5", "--p", "0.5"], 2, GOLDEN_WINDING_SINGULAR),
+])
+def test_winding_golden(capsys, argv, code, golden):
+    assert run(capsys, "winding", *argv) == (code, golden, "")
 
 
 def test_no_subcommand_imports_scipy(tmp_path, walk_file, line_file):

@@ -2,6 +2,7 @@
 one JSON object that holds every metric ``BENCHMARK.json`` names, each a
 finite number, and no traced binding may have gone missing."""
 
+import importlib.util
 import json
 import math
 import subprocess
@@ -12,6 +13,49 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _span_of(metric, tracing):
+    """The span a per-layer metric is read from, or None for a layer's self
+    time and the tracer's own figures."""
+    if metric in tracing.VALUE_SOURCES:
+        return tracing.VALUE_SOURCES[metric]
+    base, _, suffix = metric.rpartition(".")
+    if base == "trace" or (base in tracing.LAYERS and suffix == "self_s"):
+        return None
+    return base
+
+
+def _resolves(module, path):
+    try:
+        owner = importlib.import_module(module)
+        for part in path.split("."):
+            owner = getattr(owner, part)
+    except (ImportError, AttributeError):
+        return False
+    return True
+
+
+def test_every_span_metric_has_a_live_binding():
+    # the same rule as the per-layer cases below, with no benchmark run: a
+    # refactor that drops a traced import fails here and names the binding
+    tracing = _load_tracing()
+    bindings = {}
+    for module, path, name in tracing.SPANS + tracing.COUNTERS:
+        bindings.setdefault(name, []).append((module, path))
+    bindings[tracing.ROOT] = [("chiralwalk.cli", "main")]
+    for entry in SPEC["per_layer"]:
+        span = _span_of(entry["name"], tracing)
+        if span is not None:
+            candidates = bindings.get(span, [])
+            assert any(_resolves(*b) for b in candidates), (entry["name"], span, candidates)
 
 
 def _reject_constant(name):

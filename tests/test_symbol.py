@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from chiralwalk.cantor import Cylinder, ProductMeasure, cylinder_measure
-from chiralwalk.symbol import (ROUTE_TOL, SymbolLoop, SymbolSingularError, agreed_windings,
-                               falk_cylinder_pairing, falk_pairing,
+from chiralwalk.symbol import (ROUTE_TOL, SymbolLoop, SymbolSingularError, _circle,
+                               agreed_windings, falk_cylinder_pairing, falk_pairing,
                                half_line_operator, kernel_recursion, loop_min, poles,
                                residue_numeric, solve_w0, unilateral_shift,
                                winding_quadrature, winding_residues)
@@ -33,7 +33,7 @@ def grid_points():
 
 def eval_loop(s, angle):
     """Value of the loop at w = exp(i * angle)."""
-    return complex(s.on_circle(np.array([angle]))[0])
+    return complex(s(np.exp(1j * np.array([angle])))[0])
 
 
 def test_eval_loop_anchor():
@@ -399,3 +399,50 @@ def test_loop_min_detects_degeneracy():
         assert value < 1e-10, (a, p)
         assert abs(witness) == pytest.approx(1.0)
     assert loop_min(loop(0.8, 0.5), 8192)[0] > 0.1
+
+
+def _uncached_quadrature(s, n):
+    angles = 2.0 * np.pi * np.arange(n + 1) / n
+    increments = np.angle(np.exp(1j * np.diff(np.angle(s(np.exp(1j * angles))))))
+    return float(np.sum(increments) / (2.0 * np.pi))
+
+
+def _uncached_min(s, n):
+    angles = 2.0 * np.pi * np.arange(n) / n
+    values = np.abs(s(np.exp(1j * angles)))
+    k = int(np.argmin(values))
+    return float(values[k]), complex(np.exp(1j * angles[k]))
+
+
+def test_circle_is_read_only():
+    with pytest.raises(ValueError, match="read-only"):
+        _circle(64)[0] = 0.0
+
+
+@pytest.mark.parametrize("n", [64, 1000, 4096, 8192])
+def test_circle_is_the_exponentiated_grid_bit_for_bit(n):
+    want = np.exp(1j * (2.0 * np.pi * np.arange(n + 1) / n))
+    assert _circle(n).tobytes() == want.tobytes()
+
+
+def test_cached_circles_give_the_uncached_values():
+    # each call asks for the other count, so each one evicts the other's circle
+    rng = np.random.default_rng(26)
+    for _ in range(6):
+        s = loop(float(rng.uniform(-0.95, 0.95)), float(rng.uniform(-0.95, 0.95)),
+                 b_phase=rng.uniform(0, 2 * np.pi), q_phase=rng.uniform(0, 2 * np.pi))
+        assert loop_min(s, 8192) == _uncached_min(s, 8192)
+        assert winding_quadrature(s, 4096) == _uncached_quadrature(s, 4096)
+
+
+def test_loop_min_witness_is_the_sampled_root_of_unity():
+    s = loop(0.5, 0.5, b_phase=0.4, q_phase=1.1)
+    for n in (64, 1000, 8192):
+        k = int(np.argmin(np.abs(s(np.exp(1j * (2.0 * np.pi * np.arange(n) / n))))))
+        assert loop_min(s, n)[1] == complex(np.exp(1j * (2.0 * np.pi * k / n)))
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_loop_min_rejects_an_empty_circle(samples):
+    with pytest.raises(ValueError, match=f"got {samples}"):
+        loop_min(loop(0.6), samples)
