@@ -49,8 +49,8 @@ BASE_BYTES = 64e6    # interpreter, numpy and BLAS before the first dense array
 # Monte Carlo sample, 710 B per sweep row (with its loop), 32 B per range-grid value,
 # 48 B per unit of falk --trunc (the diagonals of its banded factors),
 # 208 B per lattice site that onedim reads (the bundle's coefficient arrays,
-# the chirality diagonals and the transfer matrices) and 1071 B per tree vertex
-# of a check at depths 12-18 at any cell depth (resident growth <= 1391 B at 14-18)
+# the chirality diagonals and the transfer matrices) and 626 B per tree vertex
+# of a check at depths 12-18 at any cell depth (resident growth <= 624 B at 14-18)
 CIRCLE_SAMPLE_BYTES = 80
 MC_SAMPLE_BYTES = 32
 ROW_BYTES = 800
@@ -171,7 +171,7 @@ def cmd_check(args) -> int:
     # the identities are checked two layers in from the truncation depth
     if not 2 <= args.depth <= MAX_DEPTH:
         raise ValidationError(f"--depth must lie in [2, {MAX_DEPTH}], got {args.depth}")
-    # the bundle and the products hold a few triples per vertex of the window
+    # the bundle and the products hold a few slots per vertex of the window
     _preflight(f"--depth {args.depth}", CHECK_VERTEX_BYTES * (2 ** (args.depth + 1) - 1))
     w = parse_walk(_read_text(args.walk))
     bundle = build_bundle(w, args.depth)

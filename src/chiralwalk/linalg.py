@@ -1,10 +1,24 @@
-"""The triple kernel: operators as the rows, columns and values of their nonzeros.
+"""The slot kernel: tree operators on one fixed neighbour pattern.
 
-Every function returns canonical :class:`Triples` (sorted by row, then column,
-each position once, no value exactly 0) and forms each entry from the terms a
-dense product sums, by numpy index arithmetic: cost linear in the nonzeros, no
-BLAS call, no dense array.  A coin-type operator [[D11, D12], [D21, D22]] on
-H (+) H, each block diagonal, is the tuple of its four diagonals.
+In breadth-first order every interior block of the tree operators lives on
+one pattern: vertex v with itself, its parent (v - 1) // 2, its sibling and
+its children 2v + 1 and 2v + 2.  A block on the m interior vertices is held
+by rows as one (5, m) complex array whose slot s holds each row v's entry in
+column N_s(v), exactly 0 where that neighbour is missing or outside the
+block's columns (an m x n strip reaches past the interior only through the
+child slots).  A block held by columns is its transpose held by rows; an
+operator is a grid of blocks, an (R, C, 5, m) array.  Products and
+transposes are gathers on fixed index arrays plus elementwise numpy.
+
+Sum order, which the pinned residual digits fix: each entry is its terms in
+column order summed as ``np.add.reduceat`` sums a run, t0 + ((t1 + t2) + t3).
+No entry of the check has more than three terms nor more than one in its
+first block, so :func:`matmul` forms that t0 + (t1 + t2), zeros included.
+Complex products are formed on arrays, never on complex scalars (447 of 1000
+scalar products differ from numpy's array loop, which agrees with itself at
+every length and under broadcasting), by ``np.multiply`` in a fixed operand
+order: the product is not bitwise commutative, and numpy evaluates
+``x * tmp`` with a temporary of 256 KiB or more in place as ``tmp * x``.
 """
 
 from __future__ import annotations
@@ -13,81 +27,90 @@ from typing import NamedTuple
 
 import numpy as np
 
-
-class Triples(NamedTuple):
-    """A ``shape`` matrix whose entry (row[k], col[k]) is val[k], all others 0.
-    ``nbytes`` and ``dtype`` read as an array's do, for memory accounting."""
-
-    row: np.ndarray
-    col: np.ndarray
-    val: np.ndarray
-    shape: tuple[int, int]
-
-    nbytes = property(lambda self: self.row.nbytes + self.col.nbytes + self.val.nbytes)
-    dtype = property(lambda self: self.val.dtype)
-
-
-def triples(rows, cols, vals, shape) -> Triples:
-    """The canonical triples of the entries whose rows, columns and values are
-    the lists of arrays ``rows``, ``cols`` and ``vals``, each concatenated in
-    order.  After a stable sort on row * ncols + col, ``np.add.reduceat`` sums
-    each position's run as its first entry plus the left-to-right sum of the
-    rest (numpy sums runs of over four pairwise); sums of exactly 0 are dropped."""
-    key = np.concatenate(rows, dtype=np.int64) * shape[1] + np.concatenate(cols)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.flatnonzero(np.concatenate((key[:1] >= 0, key[1:] != key[:-1])))  # run starts
-    total = np.add.reduceat(np.concatenate(vals, dtype=np.complex128)[order], first)
-    keep = total != 0
-    row, col = np.divmod(key[first[keep]], shape[1])
-    return Triples(row, col, total[keep], tuple(shape))
+SELF, PARENT, SIBLING, CHILD0, CHILD1 = range(5)
+_CHILD, _OTHER = -1, -2  # v's own slot below its parent, and its sibling's
+_TRANSPOSE = (SELF, _CHILD, SIBLING, PARENT, PARENT)  # slot s of x.T is x's slot of N_s(v)
+# per output slot t, the pairs (slot s of x's row v, slot u of y's column w)
+# whose path v -> N_s(v) = N_u(w) ends at w = N_t(v), in column order
+_TERMS = (
+    ((PARENT, PARENT), (SELF, SELF), (SIBLING, SIBLING), (CHILD0, CHILD0), (CHILD1, CHILD1)),
+    ((PARENT, SELF), (SELF, _CHILD), (SIBLING, _OTHER)),
+    ((PARENT, PARENT), (SELF, SIBLING), (SIBLING, SELF)),
+    ((SELF, PARENT), (CHILD0, SELF), (CHILD1, SIBLING)),
+    ((SELF, PARENT), (CHILD1, SELF), (CHILD0, SIBLING)),
+)
 
 
-def adjoint(x: Triples) -> Triples:
-    return triples([x.col], [x.row], [np.conj(x.val)], x.shape[::-1])
+class Pattern(NamedTuple):
+    """The walk-independent index arrays on m interior vertices; index
+    s * (m + 1) + w reads slot s, column w of a block padded with a 0 column."""
+
+    neighbour: np.ndarray   # (5, m): N_s(v), or m where it is missing or outside the interior
+    transpose: np.ndarray   # (5, m): the index of x.T's slot s of row v in padded x
+    terms: tuple            # per output slot: (x slot, y slots, index into padded y)
 
 
-def add(x: Triples, y: Triples) -> Triples:
-    """x + y, each entry x_ij + y_ij (x - y is x + y with y's values negated)."""
-    return triples([x.row, y.row], [x.col, y.col], [x.val, y.val], x.shape)
+def pattern(m: int) -> Pattern:
+    v = np.arange(m)
+    neighbour = np.stack([v, (v - 1) // 2, v + 1 - 2 * (v % 2 == 0), 2 * v + 1, 2 * v + 2])
+    neighbour[(neighbour < 0) | (neighbour >= m)] = m
+    slot = {_CHILD: CHILD0 + (v + 1) % 2, _OTHER: CHILD0 + v % 2}
+    index = lambda u, t: slot.get(u, u) * (m + 1) + neighbour[t]  # slot u of N_t(v)
+    terms = tuple(tuple((s, (u,) if u >= 0 else (CHILD0, CHILD1), index(u, t)) for s, u in pairs)
+                  for t, pairs in enumerate(_TERMS))
+    return Pattern(neighbour, np.stack([index(u, t) for t, u in enumerate(_TRANSPOSE)]), terms)
 
 
-def block(x: Triples, rows: range, cols: range) -> Triples:
-    """The block of x on the rows and columns of two unit-step ranges."""
-    keep = ((x.row >= rows.start) & (x.row < rows.stop)
-            & (x.col >= cols.start) & (x.col < cols.stop))
-    return Triples(x.row[keep] - rows.start, x.col[keep] - cols.start, x.val[keep],
-                   (len(rows), len(cols)))
+def _pad(x: np.ndarray) -> np.ndarray:
+    return np.concatenate((x, np.zeros(x.shape[:-1] + (1,), dtype=x.dtype)), axis=-1)
 
 
-def matmul(a: Triples, b: Triples) -> Triples:
-    """a @ b: each entry of ``a`` in column k times each entry of ``b`` in row
-    k, the products of one output entry summed in k order."""
-    count = np.bincount(b.row, minlength=b.shape[0])
-    per = count[a.col]
-    left = np.repeat(np.arange(len(a.val)), per)
-    right = np.repeat(np.cumsum(count)[a.col] - count[a.col] - np.cumsum(per) + per, per)
-    right += np.arange(len(right))
-    return triples([a.row[left]], [b.col[right]], [a.val[left] * b.val[right]],
-                   (a.shape[0], b.shape[1]))
+def at_neighbours(f: np.ndarray, p: Pattern) -> np.ndarray:
+    """A vertex function at each slot's neighbour, 0 where there is none."""
+    return np.take(_pad(f), p.neighbour, axis=-1)
 
 
-def mul_diag_block_left(d, x: Triples) -> Triples:
-    """D @ x for D = [[d11, d12], [d21, d22]] of diagonal blocks: row i of half h
-    (0 top, 1 bottom) goes to rows i and m + i, scaled by d[h] and d[2 + h]."""
-    d = np.asarray(d)
-    half, i = np.divmod(x.row, len(d[0]))
-    return triples([i, i + len(d[0])], [x.col, x.col],
-                   [d[half, i] * x.val, d[2 + half, i] * x.val], x.shape)
+def transpose(x: np.ndarray, p: Pattern) -> np.ndarray:
+    """x.T held as x is; columns outside the interior drop."""
+    flat = _pad(x.swapaxes(0, 1))
+    return np.take(flat.reshape(flat.shape[:2] + (-1,)), p.transpose, axis=-1)
 
 
-def mul_diag_block_right(x: Triples, d) -> Triples:
-    """x @ D for D = [[d11, d12], [d21, d22]] of diagonal blocks: column j of half
-    h (0 left, 1 right) goes to columns j and m + j, scaled by d[2h] and d[2h + 1]."""
-    d = np.asarray(d)
-    half, j = np.divmod(x.col, len(d[0]))
-    return triples([x.row, x.row], [j, j + len(d[0])],
-                   [x.val * d[2 * half, j], x.val * d[2 * half + 1, j]], x.shape)
+def matmul(x: np.ndarray, y: np.ndarray, p: Pattern) -> np.ndarray:
+    """x @ y held by rows, for grids x (R x K) held by rows and y (K x C)
+    held by columns: each block product's terms summed in column order, then
+    the K block products in order; a slot that is 0 throughout its block is
+    skipped.  Only terms on the pattern are formed (gamma gamma* and E L have no other)."""
+    xs, ys = np.any(x, axis=-1).tolist(), np.any(y, axis=-1).tolist()
+    flat = _pad(y).reshape(y.shape[:2] + (-1,))
+    out = np.zeros((x.shape[0], y.shape[1]) + x.shape[2:], dtype=np.complex128)
+    for i, j, t in np.ndindex(out.shape[:3]):
+        for h in range(x.shape[1]):
+            held = [np.multiply(x[i, h, s], flat[h, j, index]) for s, slots, index in p.terms[t]
+                    if xs[i][h][s] and any(ys[h][j][u] for u in slots)]
+            if held:
+                out[i, j, t] += sum(held[1:], held[0])
+    return out
+
+
+def mul_diag_block_left(d, x: np.ndarray) -> np.ndarray:
+    """D @ x for D = [[d11, d12], [d21, d22]] of diagonal blocks and a 2 x 2
+    grid x: each slot of row v scaled by the diagonal at v."""
+    d, out = np.reshape(d, (2, 2, -1)), np.empty(x.shape, dtype=np.complex128)
+    for i, j in np.ndindex(2, 2):
+        out[i, j] = np.multiply(d[i, 0], x[0, j]) + np.multiply(d[i, 1], x[1, j])
+    return out
+
+
+def mul_diag_block_right(x: np.ndarray, d, p: Pattern) -> np.ndarray:
+    """x @ D for D = [[d11, d12], [d21, d22]] of diagonal blocks and a 2 x 2
+    grid x: each slot scaled by the diagonal at its column.  Both products go
+    block by block: numpy multiplies a grid broadcast along its block axes
+    several times slower."""
+    d, out = at_neighbours(np.reshape(d, (2, 2, -1)), p), np.empty(x.shape, dtype=np.complex128)
+    for i, j in np.ndindex(2, 2):
+        out[i, j] = np.multiply(x[i, 0], d[0, j]) + np.multiply(x[i, 1], d[1, j])
+    return out
 
 
 def diag_block_product(d, e):

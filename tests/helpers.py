@@ -2,25 +2,25 @@
 file formats that ``chiralwalk.walk`` parses, the address enumeration that
 witnesses the breadth-first vertex index of ``chiralwalk.tree``, the scans
 that witness the prefix-code lookup of ``chiralwalk.cantor``, the dense
-two-term kernels that witness the triple kernels of ``chiralwalk.linalg``, the
-dense full-truncation tree route that witnesses the triples and bundle of
-``chiralwalk.treeop``, the dense Falk trace that witnesses
-``chiralwalk.symbol.falk_pairing``, and the per-site lookup and dense lattice
-route that witness ``chiralwalk.onedim``."""
+two-term kernels and the address-built neighbour pattern that witness the
+slot kernel of ``chiralwalk.linalg``, the dense full-truncation tree route
+that witnesses the tree operators and bundle of ``chiralwalk.treeop``, the
+dense Falk trace that witnesses ``chiralwalk.symbol.falk_pairing``, and the
+per-site lookup and dense lattice route that witness ``chiralwalk.onedim``."""
 
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from chiralwalk.cantor import Cylinder, check_vertex
-from chiralwalk.linalg import Triples
 from chiralwalk.onedim import CRITICAL, TAIL_GAP, TAIL_SITES
 from chiralwalk.symbol import unilateral_shift
-from chiralwalk.treeop import TreeOperators, coin_blocks, conjugator_blocks
+from chiralwalk.treeop import coin_blocks, conjugator_blocks
 from chiralwalk.walk import LineWalkSpec, SphereCoeff, ValidationError, WalkSpec
 
 
@@ -131,29 +131,69 @@ def dense_falk_pairing(f_value: int, trunc: int) -> float:
     return float((-raw).real) + 0.0
 
 
-# --- the dense two-term kernels ----------------------------------------------
+# --- the slot pattern and the dense two-term kernels --------------------------
 #
-# The coin-type products as ``chiralwalk.linalg`` formed them on dense
-# matrices before it held operators as triples: every output entry is the
-# same two-term sum the triple kernels form, so their densified results must
-# agree exactly.
+# The slot kernel holds a block by its entries at each vertex's self, parent,
+# sibling and children; the oracle here finds those neighbours from the
+# vertex addresses.  The coin-type products as ``chiralwalk.linalg`` formed
+# them on dense matrices before it held operators sparsely: every output
+# entry is the same two-term sum the slot kernels form, so their densified
+# results must agree exactly.
 
 
-def densify(x: Triples) -> np.ndarray:
-    """The dense matrix of a triple operator."""
-    out = np.zeros(x.shape, dtype=np.complex128)
-    out[x.row, x.col] = x.val
+def slot_neighbours(m: int) -> np.ndarray:
+    """The (5, m) columns that the self, parent, sibling and two child slots
+    of the m interior vertices name, -1 where there is none, found from the
+    vertex addresses.  Oracle for ``linalg.pattern``."""
+    vertices = addresses((m + 1).bit_length())
+    index = {v: i for i, v in enumerate(vertices)}
+    out = np.full((5, m), -1)
+    for i, v in enumerate(vertices[:m]):
+        parent, sibling = (v[:-1], v[:-1] + "10"[int(v[-1])]) if v else (None, None)
+        for s, u in enumerate((v, parent, sibling, v + "0", v + "1")):
+            if u is not None:
+                out[s, i] = index[u]
     return out
 
 
-def assert_stored_entries_exact(x: Triples, dense: np.ndarray) -> None:
-    """Every stored triple is the dense entry bit for bit, and every entry
-    the triples omit is a zero (of either sign) of the dense matrix."""
-    assert x.shape == dense.shape
-    assert x.val.tobytes() == dense[x.row, x.col].tobytes()
-    omitted = np.ones(dense.shape, dtype=bool)
-    omitted[x.row, x.col] = False
-    assert not np.any(dense[omitted])
+def _slot_positions(x: np.ndarray, cols: int | None):
+    """A block's column count (default m), the slots that name a column
+    inside it, and each slot's row and column."""
+    m = x.shape[-1]
+    cols = m if cols is None else cols
+    column = slot_neighbours(m)
+    row = np.broadcast_to(np.arange(m), column.shape)
+    return cols, (column >= 0) & (column < cols), row, column
+
+
+def densify(x: np.ndarray, cols: int | None = None) -> np.ndarray:
+    """The dense matrix of a grid of slot blocks held by rows, each block m x
+    ``cols`` (default m); a slot that names no column inside must be 0."""
+    rows_b, cols_b, _, m = x.shape
+    cols, inside, row, column = _slot_positions(x, cols)
+    out = np.zeros((rows_b * m, cols_b * cols), dtype=np.complex128)
+    for i in range(rows_b):
+        for j in range(cols_b):
+            assert not np.any(x[i, j][~inside])
+            out[i * m + row[inside], j * cols + column[inside]] = x[i, j][inside]
+    return out
+
+
+def assert_slots_exact(x: np.ndarray, dense: np.ndarray, cols: int | None = None) -> None:
+    """Every slot that names a column is the dense entry bit for bit, every
+    other slot is 0, and every dense entry off the pattern is a zero (of
+    either sign)."""
+    rows_b, cols_b, _, m = x.shape
+    cols, inside, row, column = _slot_positions(x, cols)
+    assert dense.shape == (rows_b * m, cols_b * cols)
+    off = np.ones(dense.shape, dtype=bool)
+    for i in range(rows_b):
+        for j in range(cols_b):
+            at = (i * m + row[inside], j * cols + column[inside])
+            assert x[i, j][inside].tobytes() == dense[at].tobytes(), (i, j)
+            assert not np.any(x[i, j][~inside])
+            off[at] = False
+    assert not np.any(dense[off])
 
 
 def dense_mul_diag_block_left(d, x: np.ndarray) -> np.ndarray:
@@ -190,11 +230,17 @@ def shift_matrix(t) -> np.ndarray:
     return s
 
 
-def dense_tree_operators(t) -> TreeOperators:
+class DenseTreeOperators(NamedTuple):
+    tree: object
+    isometry: np.ndarray
+    defect: np.ndarray
+
+
+def dense_tree_operators(t) -> DenseTreeOperators:
     """The dense n x n isometry L = S / sqrt(2) and defect E = 1 - L L* of
     the whole truncation, E in closed form.  Oracle for
-    ``treeop.tree_operators``, whose triples hold L[:, :m] and E[:m] for the
-    m interior vertices."""
+    ``treeop.tree_operators``, whose slots hold L[:, :m] by columns and E[:m]
+    by rows for the m interior vertices."""
     n = t.size
     r = 1.0 / math.sqrt(2.0)
     below = np.arange(1, n)
@@ -208,14 +254,14 @@ def dense_tree_operators(t) -> TreeOperators:
     odd = np.arange(1, n, 2)
     defect[odd, odd + 1] = -r * r
     defect[odd + 1, odd] = -r * r
-    return TreeOperators(t, isometry, defect)
+    return DenseTreeOperators(t, isometry, defect)
 
 
 def dense_symmetry(isometry: np.ndarray, defect: np.ndarray, p: float,
                    q: complex) -> np.ndarray:
     """The full 2n x 2n involution [[p, conj(q) L*], [q L, (1 + p) E - p]].
     Oracle for ``treeop.shift_symmetry``, which forms only its interior rows,
-    as triples, by the same entry expressions."""
+    as slots, by the same entry expressions."""
     n = isometry.shape[0]
     out = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     idx = np.arange(n)
@@ -242,13 +288,14 @@ def dense_chirality_direct(p: float, q: complex, a: np.ndarray, b: np.ndarray,
           + (1 + p) (conj(b)/s-) E (b/s+)  -  2 p |b|.
 
     Oracle for ``treeop.chirality_direct``, which forms the interior block
-    of this matrix as triples by the same entry expressions (equal within an
-    ulp: numpy may round a broadcast and a flat complex product apart)."""
+    of this matrix as slots by the same entry expressions, bit for bit.  The
+    products by q are ``np.multiply`` calls: numpy evaluates ``q * tmp`` with a
+    temporary of 256 KiB or more in place as ``tmp * q``, which rounds apart."""
     s_plus = np.sqrt(1.0 + a)
     s_minus = np.sqrt(1.0 - a)
     left = np.conj(b) / s_minus
-    out = q * (left[:, None] * isometry * s_plus[None, :])
-    out -= np.conj(q) * (s_minus[:, None] * isometry.conj().T * (b / s_plus)[None, :])
+    out = np.multiply(q, left[:, None] * isometry * s_plus[None, :])
+    out -= np.multiply(np.conj(q), s_minus[:, None] * isometry.conj().T * (b / s_plus)[None, :])
     out += (1.0 + p) * (left[:, None] * defect * (b / s_plus)[None, :])
     out -= np.diag(2.0 * p * np.abs(b)).astype(np.complex128)
     return out

@@ -596,8 +596,17 @@ def test_check_golden_depth10(capsys):
     assert out == GOLDEN_CHECK
 
 
+def test_check_golden_depth13(capsys):
+    # one slot block holds 327 KB here, above the 256 KiB at which numpy
+    # would evaluate a product x * tmp as tmp * x: the digits stay
+    code, out, _ = run(capsys, "check", "--walk", str(CONFIGS / "level2_walk.json"),
+                       "--depth", "13")
+    assert code == 0
+    assert out == GOLDEN_CHECK
+
+
 def test_check_depth16_is_fast(capsys):
-    # 131 071 vertices: the triples keep the check linear in their number
+    # 131 071 vertices: the slots keep the check linear in their number
     start = time.perf_counter()
     code, out, _ = run(capsys, "check", "--walk", str(CONFIGS / "level2_walk.json"),
                        "--depth", "16")

@@ -1,20 +1,31 @@
 import numpy as np
+import pytest
 
-from chiralwalk.linalg import (adjoint, block, diag_block_product, matmul, mul_diag_block_left,
-                               mul_diag_block_right, triples)
-from helpers import dense_mul_diag_block_left, dense_mul_diag_block_right, densify
+from chiralwalk.linalg import (diag_block_product, matmul, mul_diag_block_left,
+                               mul_diag_block_right, pattern, transpose)
+from helpers import (dense_mul_diag_block_left, dense_mul_diag_block_right, densify,
+                     slot_neighbours)
+
+M = 15  # the interior at depth 5
 
 
 def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def random_sparse(rng, rows, cols, density=0.3, real=False):
-    """A random matrix with about ``density`` of its entries nonzero, and its triples."""
-    values = rng.standard_normal((rows, cols)) if real else random_complex(rng, rows, cols)
-    x = (values * (rng.random((rows, cols)) < density)).astype(np.complex128)
-    i, j = np.nonzero(x)
-    return x, triples([i], [j], [x[i, j]], x.shape)
+def random_slots(rng, blocks, slots=range(5), real=False):
+    """A grid of random interior blocks on the given slots, 0 on the others
+    and wherever the neighbour lies outside the interior."""
+    values = rng.standard_normal(blocks + (5, M)) if real else random_complex(rng, *blocks, 5, M)
+    keep = np.zeros((5, 1), dtype=bool)
+    keep[list(slots)] = True
+    column = slot_neighbours(M)
+    return np.where(keep & (column >= 0) & (column < M), values, 0).astype(np.complex128)
+
+
+def by_columns(y):
+    """The dense matrix of a grid of blocks held by columns."""
+    return densify(y.swapaxes(0, 1)).T
 
 
 def dense(d):
@@ -23,53 +34,56 @@ def dense(d):
     return np.block([[np.diag(d11), np.diag(d12)], [np.diag(d21), np.diag(d22)]])
 
 
-def test_triples_sum_duplicates_in_order_and_drop_zeros():
-    # entries at one position sum as x0 + (x1 + x2) in the order given, and
-    # a sum of exactly 0 is not stored
-    big, tiny = 1.0, 2.0 ** -60
-    x = triples([[1, 0, 1], [1, 0]], [[2, 1, 2], [2, 0]], [[big, 3.0, -big], [tiny, 0.0]], (2, 3))
-    assert x.row.tolist() == [0] and x.col.tolist() == [1]
-    assert x.val.tolist() == [3.0] and x.shape == (2, 3)
-    y = triples([[1, 1, 1]], [[2, 2, 2]], [[tiny, big, -big]], (2, 3))
-    assert y.val.tolist() == [tiny]
+@pytest.mark.parametrize("m", [0, 1, 3, 7, 63])
+def test_pattern_names_the_neighbours_of_the_addresses(m):
+    expected = slot_neighbours(m)
+    expected[(expected < 0) | (expected >= m)] = m
+    assert np.array_equal(pattern(m).neighbour, expected)
+
+
+def test_transpose_is_the_dense_transpose():
+    rng = np.random.default_rng(8)
+    x = random_slots(rng, (2, 2))
+    assert np.array_equal(densify(transpose(x, pattern(M))), densify(x).T)
 
 
 def test_diag_block_multiplication_matches_dense():
     # each output entry is the same two-term sum as the dense kernel's
     rng = np.random.default_rng(9)
-    n = 6
-    d = tuple(random_complex(rng, n) for _ in range(4))
-    dense_d = dense(d)
-    x, t = random_sparse(rng, 2 * n, 2 * n)
-    assert np.array_equal(densify(mul_diag_block_left(d, t)), dense_mul_diag_block_left(d, x))
-    assert np.array_equal(densify(mul_diag_block_right(t, d)), dense_mul_diag_block_right(x, d))
-    assert np.allclose(densify(mul_diag_block_left(d, t)), dense_d @ x, atol=1e-13)
-    assert np.allclose(densify(mul_diag_block_right(t, d)), x @ dense_d, atol=1e-13)
+    d = tuple(random_complex(rng, M) for _ in range(4))
+    x = random_slots(rng, (2, 2))
+    left, right = mul_diag_block_left(d, x), mul_diag_block_right(x, d, pattern(M))
+    assert np.array_equal(densify(left), dense_mul_diag_block_left(d, densify(x)))
+    assert np.array_equal(densify(right), dense_mul_diag_block_right(densify(x), d))
+    assert np.allclose(densify(left), dense(d) @ densify(x), atol=1e-13)
+    assert np.allclose(densify(right), densify(x) @ dense(d), atol=1e-13)
 
 
-def test_matmul_sums_in_inner_index_order():
-    # the products of one output entry in k order, the first added to the
-    # left-to-right sum of the others; at most four of them here.  Real
-    # values, because numpy's vector loop may round a complex product apart
-    # from its scalar one
+def test_matmul_sums_each_block_then_the_blocks():
+    # a Gram-shaped product, x held by rows and y by columns on the slots of
+    # the strip's blocks: each entry sums its terms block by block in column
+    # order, and the block sums in order.  Real values, because numpy's
+    # array loop may round a complex product apart from its scalar one
     rng = np.random.default_rng(10)
-    a, ta = random_sparse(rng, 7, 4, 0.6, real=True)
-    b, tb = random_sparse(rng, 4, 5, 0.6, real=True)
-    expected = np.zeros((7, 5), dtype=np.complex128)
-    for i in range(7):
-        for j in range(5):
-            terms = [a[i, k] * b[k, j] for k in range(4) if a[i, k] != 0 and b[k, j] != 0]
-            if terms:
-                rest = terms[1:]
-                expected[i, j] = terms[0] + (sum(rest[1:], rest[0]) if rest else 0.0)
-    product = matmul(ta, tb)
-    assert product.shape == (7, 5)
-    assert np.array_equal(densify(product), expected)
-    a, ta = random_sparse(rng, 7, 9, 0.5)
-    b, tb = random_sparse(rng, 9, 5, 0.5)
-    assert np.allclose(densify(matmul(ta, tb)), a @ b, atol=1e-13)
-    assert np.array_equal(densify(adjoint(ta)), a.conj().T)
-    assert np.array_equal(densify(block(ta, range(2, 6), range(1, 4))), a[2:6, 1:4])
+    x = np.concatenate([np.concatenate([random_slots(rng, (1, 1), s, real=True) for s in row],
+                                       axis=1)
+                        for row in (((0,), (3, 4)), ((1,), (0, 2)))])
+    y = np.conj(x.swapaxes(0, 1))
+    product = densify(matmul(x, y, pattern(M)))
+    a, b = densify(x), by_columns(y)
+    expected = np.zeros_like(product)
+    for i in range(2 * M):
+        for j in range(2 * M):
+            halves = [[a[i, k] * b[k, j] for k in range(h * M, (h + 1) * M)
+                       if a[i, k] != 0 and b[k, j] != 0] for h in (0, 1)]
+            sums = [sum(terms[1:], terms[0]) for terms in halves if terms]
+            expected[i, j] = sum(sums[1:], sums[0]) if sums else 0.0
+    assert np.array_equal(product, expected)
+    assert np.allclose(product, a @ b, atol=1e-13)
+    # and a product on every slot of the pattern: E L's shape
+    e, ell = random_slots(rng, (1, 1), (0, 2)), random_slots(rng, (1, 1), (3, 4))
+    assert np.allclose(densify(matmul(e, ell, pattern(M))), densify(e) @ by_columns(ell),
+                       atol=1e-13)
 
 
 def test_diag_block_product_matches_dense():

@@ -9,7 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from chiralwalk.treeop import build_bundle
+from helpers import random_walk_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -56,6 +60,13 @@ def test_every_span_metric_has_a_live_binding():
         if span is not None:
             candidates = bindings.get(span, [])
             assert any(_resolves(*b) for b in candidates), (entry["name"], span, candidates)
+
+
+def test_tracer_counts_the_bundle():
+    # treeop.bundle_mb sums the ndarray fields of the bundle: slots kept in
+    # a dict or a tuple would read 0 and raise nothing
+    bundle = build_bundle(random_walk_spec(np.random.default_rng(1)), 8)
+    assert _load_tracing().payload_mb(bundle) > 0
 
 
 def _reject_constant(name):

@@ -1,18 +1,19 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chiralwalk.cli import CHECK_VERTEX_BYTES
-from chiralwalk.linalg import adjoint, matmul
+from chiralwalk.linalg import matmul
 from chiralwalk.tree import truncated_tree
 from chiralwalk.treeop import (IDENTITY_NAMES, build_bundle, check_identities,
                                chirality_direct, coin_blocks, coin_values,
                                conjugated_skew, conjugator_blocks, route_disagreement,
                                shift_symmetry, tree_operators)
 from chiralwalk.walk import WalkSpec
-from helpers import (addresses, assert_stored_entries_exact, dense_chirality_direct,
+from helpers import (addresses, assert_slots_exact, dense_chirality_direct,
                      dense_conjugated_skew, dense_skew, dense_symmetry, dense_tree_operators,
                      densify, random_walk_spec, shift_matrix, sphere_coeff)
 
@@ -88,7 +89,8 @@ def test_isometry_and_defect_structure(dense6):
 @pytest.mark.parametrize("depth", range(1, 11))
 def test_defect_closed_form_is_the_dense_product(depth):
     # the closed form reproduces 1 - L L* bit for bit, signed zeros included,
-    # and the triples hold its interior columns of L and interior rows of E
+    # and the slots hold L's interior columns (by columns: the rows of L.T)
+    # and E's interior rows
     t = truncated_tree(depth)
     isometry = shift_matrix(t) / math.sqrt(2.0)
     dense_defect = np.eye(t.size, dtype=np.complex128) - isometry @ isometry.conj().T
@@ -97,13 +99,13 @@ def test_defect_closed_form_is_the_dense_product(depth):
     assert dense.isometry.tobytes() == isometry.tobytes()
     m = (1 << (depth - 1)) - 1
     ops = tree_operators(t)
-    assert ops.isometry.shape == (t.size, m) and ops.defect.shape == (m, t.size)
-    assert_stored_entries_exact(ops.isometry, isometry[:, :m])
-    assert_stored_entries_exact(ops.defect, dense_defect[:m])
+    assert ops.isometry.shape == ops.defect.shape == (1, 1, 5, m)
+    assert_slots_exact(ops.isometry, isometry[:, :m].T, cols=t.size)
+    assert_slots_exact(ops.defect, dense_defect[:m], cols=t.size)
 
 
 def test_tree_operators_real_entries(ops6, dense6):
-    for m in (shift_matrix(ops6.tree), ops6.isometry.val, ops6.defect.val,
+    for m in (shift_matrix(ops6.tree), ops6.isometry, ops6.defect,
               dense6.isometry, dense6.defect):
         assert np.max(np.abs(m.imag)) == 0.0
 
@@ -113,7 +115,7 @@ def test_tree_operators_real_entries(ops6, dense6):
 def test_symmetry_specializes_at_p_zero(ops6, dense6):
     n = ops6.tree.size
     m = (1 << 5) - 1
-    gamma = densify(shift_symmetry(ops6.isometry, ops6.defect, 0.0, 1.0))
+    gamma = densify(shift_symmetry(ops6, 0.0, 1.0), cols=n)
     assert np.array_equal(gamma[:m, :n], np.zeros((m, n)))
     assert np.array_equal(gamma[:m, n:], dense6.isometry.conj().T[:m])
     assert np.array_equal(gamma[m:, :n], dense6.isometry[:m])
@@ -128,7 +130,7 @@ def test_symmetry_squares_to_identity_on_interior(ops6, dense6):
         angle = rng.uniform(0, np.pi)
         p = float(np.cos(angle))
         q = np.sqrt(1 - p * p) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        gamma = densify(shift_symmetry(ops6.isometry, ops6.defect, p, q))
+        gamma = densify(shift_symmetry(ops6, p, q), cols=n)
         residual = gamma @ gamma.conj().T - np.eye(2 * m)
         assert np.max(np.abs(residual)) < 1e-12, p
     block = gamma[:, np.r_[:m, n:n + m]]
@@ -139,7 +141,7 @@ def test_symmetry_squares_to_identity_on_interior(ops6, dense6):
 
 def test_symmetry_rejects_off_sphere(ops6):
     with pytest.raises(ValueError, match="sphere"):
-        shift_symmetry(ops6.isometry, ops6.defect, 0.5, 1.0)
+        shift_symmetry(ops6, 0.5, 1.0)
 
 
 def test_symmetry_degenerate_corner():
@@ -156,7 +158,7 @@ def test_symmetry_degenerate_corner():
     assert np.allclose(gamma[n:, n:], 2.0 * dense.defect - np.eye(n), atol=1e-14)
     assert np.max(np.abs(gamma @ gamma - np.eye(2 * n))) < 1e-14
     ops = tree_operators(dense.tree)
-    strip = densify(shift_symmetry(ops.isometry, ops.defect, 1.0, 0.0))
+    strip = densify(shift_symmetry(ops, 1.0, 0.0), cols=n)
     m = len(strip) // 2
     assert np.array_equal(strip, gamma[np.r_[:m, n:n + m]])
 
@@ -248,9 +250,9 @@ def test_identities_random_specs(ops6):
 
 def test_bundle_holds_the_dense_interior():
     # the coin data are the interior entries of the full coin data, and each
-    # stored triple of the strip and of the interior skew part is the entry of
-    # the full symmetry's interior rows and of the dense U - U*'s interior
-    # block, bit for bit; every entry the triples omit is a zero there
+    # slot of the strip and of the interior skew part is the entry of the
+    # full symmetry's interior rows and of the dense U - U*'s interior block,
+    # bit for bit; every entry off the pattern is a zero there
     rng = np.random.default_rng(16)
     for depth in range(2, 9):
         w = random_walk_spec(rng)
@@ -265,39 +267,36 @@ def test_bundle_holds_the_dense_interior():
             assert bundle.b.tobytes() == b[inner].tobytes(), (depth, rule)
             gamma = dense_symmetry(dense.isometry, dense.defect, w.p, w.q)
             skew = dense_skew(gamma, a, b)
-            assert_stored_entries_exact(bundle.symmetry, gamma[inner2])
-            assert_stored_entries_exact(bundle.skew, skew[np.ix_(inner2, inner2)])
+            assert_slots_exact(bundle.symmetry, gamma[inner2], cols=n)
+            assert_slots_exact(bundle.skew, skew[np.ix_(inner2, inner2)])
 
 
 def test_products_match_the_dense_oracle():
-    # the Gram product of the strip and E L, summed in inner-index order over
-    # the triples, against the dense products of the oracle's interior rows
-    # and columns; the chirality block's three-factor terms against the
-    # dense ones (numpy rounds broadcast and flat products apart by up to
-    # an ulp); and the conjugated skew part exactly, being the same two-term
-    # sums
+    # the Gram product of the strip and E L on the slots against the dense
+    # products of the oracle's interior rows and columns; the chirality
+    # block's three-factor terms and the conjugated skew part bit for bit,
+    # being the same products and two-term sums
     rng = np.random.default_rng(17)
     for depth in range(2, 9):
         w = random_walk_spec(rng)
         dense = dense_tree_operators(truncated_tree(depth))
         for rule in ("leftmost", "rightmost"):
             bundle = build_bundle(w, depth, rule=rule)
-            n, m = dense.tree.size, len(bundle.a)
+            ops, n, m = bundle.ops, dense.tree.size, len(bundle.a)
             inner2 = np.r_[:m, n:n + m]
             gamma = dense_symmetry(dense.isometry, dense.defect, w.p, w.q)[inner2]
-            gram = densify(matmul(bundle.symmetry, adjoint(bundle.symmetry)))
+            gram = densify(matmul(bundle.symmetry, np.conj(bundle.symmetry.swapaxes(0, 1)),
+                                  ops.pattern))
             assert np.max(np.abs(gram - gamma @ gamma.conj().T), initial=0.0) <= 1e-15
-            el = densify(matmul(bundle.defect, bundle.isometry))
+            el = densify(matmul(ops.defect, ops.isometry, ops.pattern))
             assert np.max(np.abs(el - dense.defect[:m] @ dense.isometry[:, :m]),
                           initial=0.0) <= 1e-15
             a, b = coin_values(w, dense.tree, rule)
             direct = dense_chirality_direct(w.p, w.q, a, b, dense.isometry, dense.defect)
-            mine = densify(chirality_direct(w.p, w.q, bundle.a, bundle.b, bundle.isometry,
-                                            bundle.defect))
-            assert np.max(np.abs(mine - direct[:m, :m]), initial=0.0) <= 1e-15
+            assert_slots_exact(chirality_direct(w.p, w.q, bundle.a, bundle.b, ops), direct[:m, :m])
             skew = dense_skew(dense_symmetry(dense.isometry, dense.defect, w.p, w.q), a, b)
             conj = dense_conjugated_skew(skew[np.ix_(inner2, inner2)], bundle.a, bundle.b)
-            assert np.array_equal(densify(conjugated_skew(bundle.skew, bundle.a, bundle.b)), conj)
+            assert_slots_exact(conjugated_skew(bundle.skew, bundle.a, bundle.b, ops.pattern), conj)
 
 
 def test_skew_is_antiselfadjoint(ops6):
@@ -366,13 +365,37 @@ def test_bundle_dimensions(ops6):
     bundle = build_bundle(w, 6, ops=ops6)
     n = 2 ** 7 - 1
     m = 2 ** 5 - 1
-    assert bundle.isometry.shape == (n, m)
-    assert bundle.defect.shape == (m, n)
+    assert bundle.ops.isometry.shape == bundle.ops.defect.shape == (1, 1, 5, m)
     assert bundle.a.shape == bundle.b.shape == (m,)
-    assert bundle.symmetry.shape == (2 * m, 2 * n)
-    assert bundle.skew.shape == (2 * m, 2 * m)
+    assert bundle.symmetry.shape == bundle.skew.shape == (2, 2, 5, m)
+    assert densify(bundle.symmetry, cols=n).shape == (2 * m, 2 * n)
+    assert densify(bundle.skew).shape == (2 * m, 2 * m)
     # the first m vertices are those of depth <= d - 2
     assert [len(v) <= 4 for v in addresses(6)] == [i < m for i in range(n)]
+
+
+def test_skew_slots_do_not_depend_on_the_depth():
+    # rows whose neighbours all lie in the depth-10 interior hold the same
+    # bits at depth 13, where one slot block is above the 256 KiB at which
+    # numpy evaluates x * tmp in place as tmp * x: every complex product has
+    # one operand order at every size
+    w = random_walk_spec(np.random.default_rng(56))
+    small, large = build_bundle(w, 10), build_bundle(w, 13)
+    assert large.skew[0, 0].nbytes >= 256 * 1024 > small.skew.nbytes
+    rows = (small.skew.shape[-1] - 1) // 2
+    assert small.skew[..., :rows].tobytes() == large.skew[..., :rows].tobytes()
+
+
+def test_check_sorts_nothing(monkeypatch):
+    # the pattern is fixed, so no step of the bundle, the check or the
+    # route comparison orders anything
+    def refuse(*args, **kwargs):
+        raise AssertionError("sorted")
+    for name in ("argsort", "sort", "lexsort"):
+        monkeypatch.setattr(np, name, refuse)
+    bundle = build_bundle(random_walk_spec(np.random.default_rng(57)), 8)
+    assert max(check_identities(bundle).values()) < 1e-10
+    assert route_disagreement(bundle) < 1e-12
 
 
 def _check_peak(depth: int, w: WalkSpec) -> int:
@@ -417,3 +440,32 @@ def test_build_bundle_rejects_mismatched_ops(ops6):
     w = random_walk_spec(rng)
     with pytest.raises(ValueError, match="depth"):
         build_bundle(w, 7, ops=ops6)
+
+
+# --- pinned residuals -------------------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def random_check_table() -> str:
+    """The seven residuals, as the ``check`` CSV prints them (repr), of seeded
+    random walks at depths 2-11 under both interior rules: three walks per
+    depth, then one with q = 0 and one with p = 0 at depths 7 and 11."""
+    rng = np.random.default_rng(2711)
+    walks = [(depth, random_walk_spec(rng, max_level=int(rng.integers(1, 6))))
+             for depth in range(2, 12) for _ in range(3)]
+    walks += [(depth, random_walk_spec(rng, p_value=p)) for depth in (7, 11) for p in (1.0, 0.0)]
+    lines = ["depth,rule,p," + ",".join(IDENTITY_NAMES)]
+    for depth, w in walks:
+        for rule in ("leftmost", "rightmost"):
+            residuals = check_identities(build_bundle(w, depth, rule=rule))
+            lines.append(f"{depth},{rule},{w.p!r}," + ",".join(
+                repr(residuals[name]) for name in IDENTITY_NAMES))
+    return "\n".join(lines) + "\n"
+
+
+def test_random_residuals_are_pinned():
+    # every residual's digits, byte for byte, as the triple kernel printed
+    # them: a change of summation order or of a complex product's operand
+    # order shows here
+    assert random_check_table() == (GOLDEN / "check_random.csv").read_text()
