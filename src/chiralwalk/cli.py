@@ -43,14 +43,14 @@ EXIT_RESIDUAL = 4
 MEMINFO = "/proc/meminfo"
 STATUS = "/proc/self/status"
 BASE_BYTES = 64e6    # interpreter, numpy and BLAS before the first dense array
-# peaks per unit of the 1-D inputs, measured with tracemalloc at 1e5-4e6 units
-# and rounded up: 48 B per circle sample (winding, sweep; 16 B of it is the
-# cached circle, resident until a call asks for another count), 24 B per
-# Monte Carlo sample, 710 B per sweep row (with its loop), 32 B per range-grid value,
-# 48 B per unit of falk --trunc (the diagonals of its banded factors),
-# 208 B per lattice site that onedim reads (the bundle's coefficient arrays,
-# the chirality diagonals and the transfer matrices) and 626 B per tree vertex
-# of a check at depths 12-18 at any cell depth (resident growth <= 624 B at 14-18)
+# peaks per unit of the 1-D inputs, measured with tracemalloc at 1e5-4e6 units and
+# rounded up: 64 B per circle sample (winding, sweep; 32 B of it is the cached circle
+# and the last loop's values, resident after the call), 24 B per Monte Carlo sample (and
+# a decode block under 5 MB at any code depth), 710 B per sweep row (with its loop), 32 B
+# per range-grid value, 48 B per unit of falk --trunc (the diagonals of its banded factors),
+# 208 B per lattice site that onedim reads (the bundle's coefficient arrays, the chirality
+# diagonals and the transfer matrices) and 626 B per tree vertex of a check at depths
+# 12-18 at any cell depth (resident growth <= 624 B at 14-18)
 CIRCLE_SAMPLE_BYTES = 80
 MC_SAMPLE_BYTES = 32
 ROW_BYTES = 800

@@ -11,13 +11,14 @@ hypothesis is global.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .cantor import Cylinder, Dyadic, ProductMeasure, cylinder_measure, prefix_cell
+from .cantor import Cylinder, Dyadic, ProductMeasure, cylinder_measure
 from .symbol import (SymbolLoop, agreed_windings, check_off_locus, winding_quadrature,
                      winding_residues)
 from .walk import SphereCoeff, WalkSpec
@@ -59,8 +60,10 @@ class IndexReport:
     samples: int | None = None
     seed: int | None = None
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
+    def to_json(self) -> str:  # the dict of dataclasses.asdict, without its deep copy
+        exact = None if self.exact is None else vars(self.exact)
+        doc = dict(vars(self), exact=exact, per_cell=[vars(c) for c in self.per_cell])
+        return json.dumps(doc, sort_keys=True, indent=2)
 
 
 def _checked_cell_windings(w: WalkSpec):
@@ -98,39 +101,59 @@ def s_index_exact(w: WalkSpec, m: ProductMeasure) -> IndexReport:
     )
 
 
-MC_BLOCK = 1 << 14   # scales the uniforms drawn per block, which bound the decode's memory
+MC_BLOCK = 1 << 14   # uniforms drawn per block, which bound the decode's memory
 
 
-def _decode_starts(u: np.ndarray, prefixes: np.ndarray, lengths: np.ndarray, w0: np.ndarray):
-    """Cell index and next start of the point starting at every position of
-    ``u``, with a sentinel position ``len(u)``.
+def _code_trie(prefixes: list[str]) -> tuple[np.ndarray, int, np.ndarray]:
+    """Child table of the sorted complete prefix code ``prefixes``, its number
+    of inner nodes and each node's depth (0 at an inner node).  Entry 2 i + bit
+    holds the child of node i; the root is node 0, the inner nodes come first,
+    and cell c is node len(prefixes) - 1 + c, its own child on both bits."""
+    inner, fresh = len(prefixes) - 1, itertools.count(1)
+    table = [0] * (2 * inner) + [c for c in range(inner, 2 * inner + 1) for _ in "01"]
+    stack = [(0, "", 0, len(prefixes))]   # an inner node, its bits and its cells
+    while stack:
+        node, bits, lo, hi = stack.pop()
+        mid = bisect.bisect_left(prefixes, bits + "1", lo, hi)
+        for bit, first, end in ((0, lo, mid), (1, mid, hi)):
+            child = table[2 * node + bit] = inner + first if end - first == 1 else next(fresh)
+            if child < inner:
+                stack.append((child, bits + "01"[bit], first, end))
+    return (np.array(table, dtype=np.intp), inner,
+            np.array([0] * inner + [len(p) for p in prefixes], dtype=np.intp))
 
-    Uniform ``u[s + k]`` is bit ``k`` of the point starting at ``s``: "0" when
-    below ``w0[k]``.  Every start spells the code of its window of
-    ``len(w0)`` uniforms (padded past the end of ``u``) and all codes are
-    looked up at once.  A start whose cell runs past the end of ``u``, and the
-    sentinel, keep cell -1 and are their own next start.
-    """
-    n, level = len(u), len(w0)
-    windows = sliding_window_view(np.concatenate([u, np.zeros(level - 1)]), level)
-    codes = ((windows >= w0).view(np.uint8) + ord("0")).view(f"S{level}")[:, 0]
-    cell = prefix_cell(prefixes, codes)
-    start = np.arange(n)
-    end = start + lengths[cell]
-    inside = end <= n
-    return (np.append(np.where(inside, cell, -1), -1),
-            np.append(np.where(inside, end, start), n))
+
+def _decode_starts(u: np.ndarray, trie: tuple, w0: np.ndarray):
+    """Cell index and next start of the point starting at each position of
+    ``u`` and at a sentinel position ``len(u)``.  Uniform ``u[s + k]`` is bit
+    k of the point starting at s ("0" below ``w0[k]``); pass k moves each
+    start whose bit k lies in ``u`` down the trie until all sit in cells.  A
+    start left at an inner node (its cell runs past ``u``) and the sentinel
+    keep cell -1 and depth 0, so they are their own next start."""
+    (table, inner, depth), n = trie, len(u)
+    node = np.zeros(n + 1, dtype=np.intp)    # the sentinel stays at the root
+    for k, w in enumerate(w0[:n]):
+        head = node[:n - k]
+        head[:] = table[2 * head + (u[k:] >= w)]
+        if head.min() >= inner:
+            break
+    return np.where(node >= inner, node - inner, -1), np.arange(n + 1) + depth[node]
 
 
 def _orbit(nxt: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` points of the orbit of 0 under ``nxt``, by pointer
-    doubling: ``jumps[j]`` moves 2**j steps."""
+    """The first ``count`` points of the orbit of 0 under ``nxt``, or those up
+    to a fixed point of ``nxt``.  Pointer doubling makes ``jumps[j]``, which
+    moves 2**j steps, up to a stride of 64 steps; the stride is followed
+    point by point, and the points between are filled in level by level."""
     jumps = [nxt]
-    while 1 << len(jumps) < count:
+    while len(jumps) <= 6:
         jumps.append(jumps[-1][jumps[-1]])
-    path = np.zeros(1, dtype=nxt.dtype)
+    stride, coarse = jumps.pop(), [0]
+    while len(coarse) * 64 < count and stride[coarse[-1]] != coarse[-1]:
+        coarse.append(stride[coarse[-1]])
+    path = np.array(coarse, dtype=nxt.dtype)
     for jump in reversed(jumps):
-        path = np.column_stack([path, jump[path]]).ravel()
+        path = np.stack([path, jump[path]], axis=1).ravel()
     return path[:count]
 
 
@@ -141,26 +164,22 @@ def _sample_cells(prefixes: list[str], m: ProductMeasure, samples: int,
     Bit k of a point is "0" when its uniform is below ``m.weight(k + 1, "0")``
     and each point reads its bits until they spell a cell, so point i + 1
     starts at the uniform after point i's last.  The uniforms come from
-    ``rng.random(k)`` in blocks, which is the stream of scalar draws; every
-    start in a block is decoded at once, the chain of starts is followed from
-    the first, and a point cut by the block's end is decoded again with the
-    next block.  Memory is bounded by the block, not by the number of samples
-    times the code length.
+    ``rng.random(k)`` in blocks of ``MC_BLOCK``, which is the stream of scalar
+    draws; every start in a block walks the trie of ``prefixes`` at once, the
+    chain of starts is followed from the first, and a point cut by the
+    block's end is decoded again with the next block.  Memory is a few words
+    per uniform of a block, at any code depth.
     """
-    lengths = np.array([len(p) for p in prefixes])
-    max_level = int(lengths.max())
+    max_level = max(len(p) for p in prefixes)
     if max_level == 0:                        # one cell: the whole boundary
         return np.zeros(samples, dtype=np.intp)
-    prefix_codes = np.array(prefixes, dtype=bytes)
+    trie = _code_trie(prefixes)
     w0 = np.array([m.weight(k, "0") for k in range(1, max_level + 1)])
-    # the window codes of a block hold about MC_BLOCK * 16 bytes, and
-    # max_level**2 above level 512
-    block = max(MC_BLOCK * 16 // max(max_level, 16), max_level)
     chunks, remaining = [], samples
     u = np.empty(0)
     while remaining:
-        u = np.concatenate([u, rng.random(min(remaining * max_level, block))])
-        cell, nxt = _decode_starts(u, prefix_codes, lengths, w0)
+        u = np.concatenate([u, rng.random(min(remaining * max_level, MC_BLOCK))])
+        cell, nxt = _decode_starts(u, trie, w0)
         path = _orbit(nxt, min(remaining, len(u) + 1))  # a chain in u ends by then
         cells = cell[path]
         cut = np.flatnonzero(cells < 0)

@@ -19,7 +19,7 @@ and three sites of each tail, whatever the halfwidth.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,7 +100,7 @@ class LineIndexResult:
     sines: tuple[float | None, float | None]
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))        # the dict of dataclasses.asdict, without its deep copy
 
 
 def _decaying(t: np.ndarray, grow: bool) -> tuple[int, np.ndarray | None, float]:

@@ -141,6 +141,20 @@ def _circle(n: int) -> np.ndarray:
     return w
 
 
+_last_values = [None, 0, None]   # the last loop, its sample count and its values
+
+
+def _loop_values(s: SymbolLoop, n: int) -> np.ndarray:
+    """g on the n + 1 points of the cached circle, read-only.  The last loop's
+    values are kept for ``loop_min`` and ``winding_quadrature``, keyed by the
+    loop object, never by equality: loops compare fields, and 0.0 == -0.0."""
+    if _last_values[0] is not s or _last_values[1] != n:
+        values = s(_circle(n))
+        values.flags.writeable = False
+        _last_values[:] = s, n, values
+    return _last_values[2]
+
+
 def winding_quadrature(s: SymbolLoop, n_samples: int = 4096) -> float:
     """Winding number by phase unwrapping over the cached circle of
     ``n_samples`` points.
@@ -152,7 +166,7 @@ def winding_quadrature(s: SymbolLoop, n_samples: int = 4096) -> float:
     if n_samples < QUADRATURE_MIN_SAMPLES:
         raise ValueError(f"need at least {QUADRATURE_MIN_SAMPLES} samples, got {n_samples}")
     check_off_locus(s.a, s.p)
-    steps = np.diff(np.angle(s(_circle(n_samples))))
+    steps = np.diff(np.angle(_loop_values(s, n_samples)))
     # each step wrapped into (-pi, pi]: the same bits as np.angle(np.exp(1j * steps))
     increments = np.arctan2(np.sin(steps), np.cos(steps))
     return float(np.sum(increments) / (2.0 * np.pi))
@@ -327,11 +341,10 @@ def falk_cylinder_pairing(cyl: Cylinder, measure: ProductMeasure, trunc: int) ->
 
 def loop_min(s: SymbolLoop, samples: int = 8192) -> tuple[float, complex]:
     """Minimum of |g| over the ``samples`` points of the cached circle (the
-    circle ``winding_quadrature`` reads at that count, without its closing
+    values ``winding_quadrature`` reads at that count, without the closing
     point), with the minimizing point exp(2 pi i k / samples)."""
     if samples < 1:
         raise ValueError(f"need at least 1 circle sample, got {samples}")
-    w = _circle(samples)[:samples]
-    values = np.abs(s(w))
+    values = np.abs(_loop_values(s, samples)[:samples])
     k = int(np.argmin(values))
-    return float(values[k]), complex(w[k])
+    return float(values[k]), complex(_circle(samples)[k])

@@ -14,6 +14,7 @@ linear in the vertices; coin-type operators are their diagonal blocks."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -39,11 +40,13 @@ class TreeOperators(NamedTuple):
     defect: np.ndarray
 
 
+@functools.lru_cache(maxsize=1)
 def tree_operators(t: TruncatedTree) -> TreeOperators:
     """Isometry L = S / sqrt(2) of the shift (S f)(v) = f(parent(v)), and
     defect E = 1 - L L* on the m = 2^(d-1) - 1 interior vertices: 1 at the
     root, 1 - r r on every other diagonal entry and -r r between siblings,
-    r = 1/sqrt(2), the entries of 1 - L L* bit for bit without the product."""
+    r = 1/sqrt(2), the entries of 1 - L L* bit for bit without the product.
+    One depth is cached, shared by its walks, so the arrays are read-only."""
     m = t.size // 4  # (2^(d+1) - 1) // 4 = 2^(d-1) - 1
     r = 1.0 / math.sqrt(2.0)
     isometry, defect = np.zeros((2, 1, 1, 5, m), dtype=np.complex128)
@@ -51,7 +54,11 @@ def tree_operators(t: TruncatedTree) -> TreeOperators:
     defect[0, 0, SELF] = 1.0 - r * r
     defect[0, 0, SELF, :1] = 1.0
     defect[0, 0, SIBLING, 1:] = -r * r
-    return TreeOperators(t, pattern(m), isometry, defect)
+    p = pattern(m)
+    for x in (isometry, defect, p.neighbour, p.transpose,
+              *(index for slot in p.terms for *_, index in slot)):
+        x.flags.writeable = False
+    return TreeOperators(t, p, isometry, defect)
 
 
 def coin_values(w: WalkSpec, t: TruncatedTree, rule: str = "leftmost"):

@@ -547,6 +547,17 @@ def test_index_mc_golden(capsys, walk_file):
     assert out == GOLDEN_INDEX_MC
 
 
+@pytest.mark.parametrize("measure,golden", [("uniform", "index_exact_uniform.json"),
+                                            ("bernoulli:0.37", "index_exact_bernoulli.json")])
+def test_index_exact_golden(capsys, measure, golden):
+    # the 64 cells of a full level-6 walk (desk-mix's exact call), pinned
+    # byte for byte: the dyadic value, the float measures and the key order
+    code, out, _ = run(capsys, "index", "--walk", str(GOLDEN / "index_exact_walk.json"),
+                       "--mode", "exact", "--measure", measure)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 # the identity table and the lattice report of the shipped configs, pinned
 # byte for byte (csv rows end in CRLF); every residual is a sum over the
 # operators' nonzeros in a fixed order, with no BLAS call, so the digits do

@@ -7,7 +7,7 @@ from chiralwalk.cantor import Cylinder, Dyadic, ProductMeasure, refine_partition
 from chiralwalk.index import (classify_point, s_index_exact, s_index_montecarlo)
 from chiralwalk.symbol import SymbolSingularError
 from chiralwalk.walk import WalkSpec
-from helpers import random_walk_spec, reference_montecarlo, sphere_coeff
+from helpers import random_partition, random_walk_spec, reference_montecarlo, sphere_coeff
 
 
 def level2_walk():
@@ -138,8 +138,35 @@ MEASURES = [ProductMeasure.uniform(), ProductMeasure.bernoulli(0.3),
             ProductMeasure.per_level(0.2, 0.8, 0.45, 0.6)]
 
 
+def random_code(rng, family: str, depth: int) -> list[str]:
+    """A complete prefix code no deeper than ``depth``: a comb along a random
+    path of that depth, every string of that depth, or random splits of
+    random cells, which leave a lopsided code."""
+    if family == "comb":
+        path = "".join(rng.choice(["0", "1"], size=depth))
+        return [path[:k] + "10"[int(path[k])] for k in range(depth)] + [path]
+    if family == "balanced":
+        return [format(i, f"0{depth}b") for i in range(1 << depth)]
+    return random_partition(rng, depth, splits=3 * depth)
+
+
+def code_walk(rng, prefixes: list[str]) -> WalkSpec:
+    return WalkSpec.make(0.3, np.sqrt(0.91), [
+        (prefix, sphere_coeff(float(rng.choice([0.9, 0.1, -0.8])), float(rng.uniform(0, 6.3))))
+        for prefix in prefixes])
+
+
+# (code family, depth, samples, decoded in blocks of five uniforms)
+CODE_CASES = [("comb", 1, 1, False), ("balanced", 1, 2, True), ("split", 2, 37, False),
+              ("comb", 4, 1000, True), ("balanced", 4, 20000, False), ("split", 5, 2, True),
+              ("comb", 7, 37, False), ("balanced", 7, 1000, True), ("split", 8, 20000, False),
+              ("comb", 10, 20000, False), ("balanced", 10, 1000, False),
+              ("split", 10, 1000, True)]
+
+
 @pytest.mark.parametrize("m", MEASURES, ids=lambda m: m.kind)
-def test_mc_matches_scalar_reference_on_random_walks(m):
+def test_mc_matches_scalar_reference_on_random_walks(m, monkeypatch):
+    import chiralwalk.index as index_module
     rng = np.random.default_rng(808)
     for trial in range(12):
         w = random_walk_spec(rng, max_level=int(rng.integers(1, 7)), a_margin_from_p=0.05)
@@ -147,6 +174,31 @@ def test_mc_matches_scalar_reference_on_random_walks(m):
         seed = int(rng.integers(0, 2 ** 31))
         assert (s_index_montecarlo(w, m, samples, seed=seed).to_json()
                 == reference_montecarlo(w, m, samples, seed=seed).to_json()), trial
+    # random complete prefix codes of depths 1-10, some decoded in blocks of
+    # five uniforms, across whose ends most points run
+    block = index_module.MC_BLOCK
+    for family, depth, samples, tiny_blocks in CODE_CASES:
+        w = code_walk(rng, random_code(rng, family, depth))
+        seed = int(rng.integers(0, 2 ** 31))
+        monkeypatch.setattr(index_module, "MC_BLOCK", 5 if tiny_blocks else block)
+        assert (s_index_montecarlo(w, m, samples, seed=seed).to_json()
+                == reference_montecarlo(w, m, samples, seed=seed).to_json()), (family, depth)
+
+
+def test_mc_decode_makes_no_sorted_search(monkeypatch):
+    # the trie decode walks the code bit by bit; it never looks a code up
+    # among the sorted cell prefixes
+    import chiralwalk.cantor as cantor
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sorted search in the Monte Carlo decode")
+
+    cases = [(w, m, reference_montecarlo(w, m, 700, seed=5).to_json())
+             for w in (level2_walk(), comb_walk(40)) for m in MEASURES]
+    monkeypatch.setattr(cantor, "prefix_cell", refuse)
+    monkeypatch.setattr(np, "searchsorted", refuse)
+    for w, m, want in cases:
+        assert s_index_montecarlo(w, m, 700, seed=5).to_json() == want
 
 
 @pytest.mark.parametrize("m", [ProductMeasure.uniform(), ProductMeasure.bernoulli(0.9),
@@ -170,9 +222,9 @@ def test_mc_block_boundaries_keep_the_stream(monkeypatch):
 
 
 def test_mc_decode_memory_stays_bounded_on_a_deep_comb():
-    # at level 2000 a block draws 2000 uniforms, whose window codes hold
-    # about 4 MB (peak about 13 MB); a block of 16384 uniforms, the size a
-    # shallow walk draws, would hold 33 MB of codes at this level
+    # the trie decode holds one node per start of a block, whatever the
+    # depth: a block of MC_BLOCK uniforms peaks near 5 MB at level 2000,
+    # where one L-byte code per start would hold 33 MB
     w = comb_walk(2000)
     tracemalloc.start()
     try:

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from chiralwalk import symbol
 from chiralwalk.cantor import Cylinder, ProductMeasure, cylinder_measure
 from chiralwalk.symbol import (ROUTE_TOL, SymbolLoop, SymbolSingularError, _circle,
                                agreed_windings, falk_cylinder_pairing, falk_pairing,
@@ -446,3 +447,48 @@ def test_loop_min_witness_is_the_sampled_root_of_unity():
 def test_loop_min_rejects_an_empty_circle(samples):
     with pytest.raises(ValueError, match=f"got {samples}"):
         loop_min(loop(0.6), samples)
+
+
+def _bits(x):
+    """The bits of a float or a complex number, so that 0.0 and -0.0 differ."""
+    x = complex(x)
+    return x.real.hex(), x.imag.hex()
+
+
+def test_loop_memo_is_keyed_by_identity_not_equality():
+    # the two loops compare equal (0.0 == -0.0), so an equality-keyed memo
+    # would serve the second one the first one's values
+    b = complex(0.8 * np.exp(0.7j))
+    plus, minus = (SymbolLoop(a=0.6, b=b, p=p, q=complex(np.exp(1.3j))) for p in (0.0, -0.0))
+    assert plus == minus
+    for n in (64, 1000, 4096):
+        for s in (plus, minus, plus):
+            value, witness = loop_min(s, n)
+            assert symbol._last_values[0] is s
+            want_value, want_witness = _uncached_min(s, n)
+            assert (_bits(value), _bits(witness)) == (_bits(want_value), _bits(want_witness))
+            assert _bits(winding_quadrature(s, n)) == _bits(_uncached_quadrature(s, n))
+
+
+def test_sweep_row_evaluates_its_loop_once(monkeypatch, capsys):
+    from chiralwalk.cli import main
+    calls = []
+    evaluate = SymbolLoop.__call__
+
+    def counted(s, w):
+        calls.append(s)
+        return evaluate(s, w)
+
+    monkeypatch.setattr(SymbolLoop, "__call__", counted)
+    assert main(["sweep", "--p-grid", "0.5", "--a-grid", "0.2", "--samples", "64"]) == 0
+    assert capsys.readouterr().out.count(",ok") == 1
+    assert len(calls) == 1
+
+
+def test_memoised_loop_values_are_read_only():
+    s = loop(0.3, 0.6, b_phase=0.2)
+    loop_min(s, 64)
+    values = symbol._last_values[2]
+    assert not values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        values[0] = 0.0

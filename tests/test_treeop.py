@@ -442,6 +442,23 @@ def test_build_bundle_rejects_mismatched_ops(ops6):
         build_bundle(w, 7, ops=ops6)
 
 
+def test_tree_operators_are_cached_per_depth_and_read_only():
+    first = tree_operators(truncated_tree(5))
+    assert tree_operators(truncated_tree(5)) is first
+    terms = [index for slot in first.pattern.terms for _, _, index in slot]
+    for x in (first.isometry, first.defect, first.pattern.neighbour, first.pattern.transpose,
+              *terms):
+        assert not x.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first.defect[0, 0, 0, 0] = 2.0
+    # one depth is cached: another depth rebuilds, and so does the first again
+    other = tree_operators(truncated_tree(4))
+    assert other is not first and other.tree.depth == 4
+    again = tree_operators(truncated_tree(5))
+    assert again is not first
+    assert again.defect.tobytes() == first.defect.tobytes()
+
+
 # --- pinned residuals -------------------------------------------------------------
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
