@@ -5,16 +5,17 @@ The boundary is modelled as the product space {0,1}^N; a cylinder is the set
 of infinite bit sequences extending a finite prefix, and corresponds
 one-to-one with the subtree hanging below that prefix.  Measures of cylinders
 under the uniform product measure are exact dyadic rationals m / 2^n, so all
-uniform-measure pairings stay in exact integer arithmetic.  In sorted order a
-prefix comes right before the strings that extend it, so the cells of a
-prefix code holding any number of bit strings are one sorted search away
-(:func:`prefix_cell`).
+uniform-measure pairings stay in exact integer arithmetic.  A complete
+prefix code is walked bit by bit on its trie (:func:`code_trie`), which the
+Monte Carlo decode and the tree operators' coin descent share.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -141,18 +142,6 @@ def cylinder_measure(m: ProductMeasure, c: Cylinder) -> Union[Dyadic, float]:
     return value
 
 
-def prefix_cell(prefixes, codes) -> np.ndarray:
-    """Index of the prefix that each of ``codes`` extends in the sorted
-    complete prefix code ``prefixes`` (bit strings as ``str`` or ``bytes``).
-
-    Every code must be at least as long as the deepest prefix, so it extends
-    exactly one prefix; in sorted order a prefix comes right before the
-    strings that extend it, so that prefix is the last one not after the code.
-    """
-    return np.searchsorted(np.asarray(prefixes, dtype=bytes), np.asarray(codes, dtype=bytes),
-                           side="right") - 1
-
-
 def check_prefix_partition(prefixes: list[str]) -> None:
     """Raise unless the cylinders over ``prefixes`` partition the boundary."""
     for p in prefixes:
@@ -164,22 +153,33 @@ def check_prefix_partition(prefixes: list[str]) -> None:
         raise ValueError(f"prefixes do not form a complete prefix code: {ordered}")
 
 
-def refine_partition(cells: list[Cylinder], level: int) -> list[tuple[Cylinder, Cylinder]]:
-    """Refine a cylinder partition to the full level-n partition.
+class CodeTrie(NamedTuple):
+    """The trie of a sorted complete prefix code.  Entry 2 i + bit of
+    ``table`` is the child of node i; the root is node 0, the inner nodes (the
+    proper prefixes of cells) come first, and cell c is node inner + c, its own
+    child on both bits."""
 
-    Returns the 2**level cylinders of the given level in lexicographic order,
-    each paired with the ancestor cell it refines.  Fails when the cells do
-    not partition the boundary or when any cell is already finer than the
-    requested level.
-    """
-    check_prefix_partition([c.prefix for c in cells])
-    too_deep = [c for c in cells if c.level > level]
-    if too_deep:
-        raise ValueError(
-            f"cannot refine to level {level}: cells {[c.prefix for c in too_deep]} are finer")
-    if level > 30:
-        raise ValueError(f"refusing to enumerate 2^{level} cylinders")
-    cells = sorted(cells, key=lambda c: c.prefix)
-    codes = [format(i, f"0{level}b") if level else "" for i in range(1 << level)]
-    owners = prefix_cell([c.prefix for c in cells], codes)
-    return [(Cylinder(p), cells[i]) for p, i in zip(codes, owners)]
+    table: np.ndarray
+    inner: int
+    depth: np.ndarray   # each node's prefix length, 0 at an inner node
+    ends: np.ndarray    # (2, nodes): the first and the last cell below each node
+
+
+def code_trie(prefixes) -> CodeTrie:
+    """The trie of the sorted complete prefix code ``prefixes``, built with
+    ``bisect`` on the sorted prefixes, one inner node at a time."""
+    inner, fresh = len(prefixes) - 1, itertools.count(1)
+    table = [0] * (2 * inner) + [c for c in range(inner, 2 * inner + 1) for _ in "01"]
+    ends = [[0] * inner + list(range(inner + 1)) for _ in "01"]
+    stack = [(0, "", 0, len(prefixes))] if inner else []   # an inner node, its bits, its cells
+    while stack:
+        node, bits, lo, hi = stack.pop()
+        ends[0][node], ends[1][node] = lo, hi - 1
+        mid = bisect.bisect_left(prefixes, bits + "1", lo, hi)
+        for bit, first, end in ((0, lo, mid), (1, mid, hi)):
+            child = table[2 * node + bit] = inner + first if end - first == 1 else next(fresh)
+            if child < inner:
+                stack.append((child, bits + "01"[bit], first, end))
+    return CodeTrie(np.array(table, dtype=np.intp), inner,
+                    np.array([0] * inner + [len(p) for p in prefixes], dtype=np.intp),
+                    np.array(ends, dtype=np.intp))

@@ -11,14 +11,12 @@ hypothesis is global.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cantor import Cylinder, Dyadic, ProductMeasure, cylinder_measure
+from .cantor import CodeTrie, Cylinder, Dyadic, ProductMeasure, code_trie, cylinder_measure
 from .symbol import (SymbolLoop, agreed_windings, check_off_locus, winding_quadrature,
                      winding_residues)
 from .walk import SphereCoeff, WalkSpec
@@ -104,33 +102,14 @@ def s_index_exact(w: WalkSpec, m: ProductMeasure) -> IndexReport:
 MC_BLOCK = 1 << 14   # uniforms drawn per block, which bound the decode's memory
 
 
-def _code_trie(prefixes: list[str]) -> tuple[np.ndarray, int, np.ndarray]:
-    """Child table of the sorted complete prefix code ``prefixes``, its number
-    of inner nodes and each node's depth (0 at an inner node).  Entry 2 i + bit
-    holds the child of node i; the root is node 0, the inner nodes come first,
-    and cell c is node len(prefixes) - 1 + c, its own child on both bits."""
-    inner, fresh = len(prefixes) - 1, itertools.count(1)
-    table = [0] * (2 * inner) + [c for c in range(inner, 2 * inner + 1) for _ in "01"]
-    stack = [(0, "", 0, len(prefixes))]   # an inner node, its bits and its cells
-    while stack:
-        node, bits, lo, hi = stack.pop()
-        mid = bisect.bisect_left(prefixes, bits + "1", lo, hi)
-        for bit, first, end in ((0, lo, mid), (1, mid, hi)):
-            child = table[2 * node + bit] = inner + first if end - first == 1 else next(fresh)
-            if child < inner:
-                stack.append((child, bits + "01"[bit], first, end))
-    return (np.array(table, dtype=np.intp), inner,
-            np.array([0] * inner + [len(p) for p in prefixes], dtype=np.intp))
-
-
-def _decode_starts(u: np.ndarray, trie: tuple, w0: np.ndarray):
+def _decode_starts(u: np.ndarray, trie: CodeTrie, w0: np.ndarray):
     """Cell index and next start of the point starting at each position of
     ``u`` and at a sentinel position ``len(u)``.  Uniform ``u[s + k]`` is bit
     k of the point starting at s ("0" below ``w0[k]``); pass k moves each
     start whose bit k lies in ``u`` down the trie until all sit in cells.  A
     start left at an inner node (its cell runs past ``u``) and the sentinel
     keep cell -1 and depth 0, so they are their own next start."""
-    (table, inner, depth), n = trie, len(u)
+    table, inner, depth, n = trie.table, trie.inner, trie.depth, len(u)
     node = np.zeros(n + 1, dtype=np.intp)    # the sentinel stays at the root
     for k, w in enumerate(w0[:n]):
         head = node[:n - k]
@@ -173,7 +152,7 @@ def _sample_cells(prefixes: list[str], m: ProductMeasure, samples: int,
     max_level = max(len(p) for p in prefixes)
     if max_level == 0:                        # one cell: the whole boundary
         return np.zeros(samples, dtype=np.intp)
-    trie = _code_trie(prefixes)
+    trie = code_trie(prefixes)
     w0 = np.array([m.weight(k, "0") for k in range(1, max_level + 1)])
     chunks, remaining = [], samples
     u = np.empty(0)

@@ -2,13 +2,17 @@
 
 In breadth-first order every interior block of the tree operators lives on
 one pattern: vertex v with itself, its parent (v - 1) // 2, its sibling and
-its children 2v + 1 and 2v + 2.  A block on the m interior vertices is held
-by rows as one (5, m) complex array whose slot s holds each row v's entry in
-column N_s(v), exactly 0 where that neighbour is missing or outside the
-block's columns (an m x n strip reaches past the interior only through the
-child slots).  A block held by columns is its transpose held by rows; an
-operator is a grid of blocks, an (R, C, 5, m) array.  Products and
-transposes are gathers on fixed index arrays plus elementwise numpy.
+its children 2v + 1 and 2v + 2.  A block holds one row per class of the m
+interior vertices, a run of consecutive vertices of one level whose rows are
+copies of each other (each vertex is its own class in the whole block).  On
+R classes it is one (5, R) complex array whose slot s holds the entry of the
+class's first vertex v in column N_s(v), named by the class of N_s(v), and
+exactly 0 where that neighbour is missing or outside the block's columns (an
+m x n strip reaches past the interior only through the child slots).  A
+block held by columns is its transpose held by rows; an operator is a grid
+of blocks, an (I, J, 5, R) array.  Products and transposes are gathers on
+fixed index arrays plus elementwise numpy, so each kept entry is formed from
+the same operands as in the whole block.
 
 Sum order, which the pinned residual digits fix: each entry is its terms in
 column order summed as ``np.add.reduceat`` sums a run, t0 + ((t1 + t2) + t3).
@@ -42,23 +46,33 @@ _TERMS = (
 
 
 class Pattern(NamedTuple):
-    """The walk-independent index arrays on m interior vertices; index
-    s * (m + 1) + w reads slot s, column w of a block padded with a 0 column."""
+    """The index arrays on the rows of the m interior vertices; index
+    s * (R + 1) + w reads slot s, row w of a block of R rows padded with a 0 row."""
 
-    neighbour: np.ndarray   # (5, m): N_s(v), or m where it is missing or outside the interior
-    transpose: np.ndarray   # (5, m): the index of x.T's slot s of row v in padded x
+    first: np.ndarray       # (R,): each row's first vertex; the row runs to the next one's
+    neighbour: np.ndarray   # (5, R): the row of N_s(v), or R where it is missing or outside
+    transpose: np.ndarray   # (5, R): the index of x.T's slot s of row v in padded x
     terms: tuple            # per output slot: (x slot, y slots, index into padded y)
 
 
-def pattern(m: int) -> Pattern:
-    v = np.arange(m)
-    neighbour = np.stack([v, (v - 1) // 2, v + 1 - 2 * (v % 2 == 0), 2 * v + 1, 2 * v + 2])
-    neighbour[(neighbour < 0) | (neighbour >= m)] = m
+def pattern(m: int, first: np.ndarray | None = None) -> Pattern:
+    """The pattern on the rows of m interior vertices that start at the
+    ascending vertices ``first`` (by default each vertex is its own row).  A
+    row's first vertex picks its own slot below its parent; the other members
+    of a class share its parent's class, whose two child slots are equal."""
+    v = np.arange(m) if first is None else first
+    rows = len(v)
+    starts = np.zeros(m + 1, dtype=np.intp)
+    starts[v] = starts[m] = 1
+    row = np.cumsum(starts) - 1   # each vertex's row; row[m] = row[-1] = R marks none
+    neighbour = row[np.minimum(np.stack(
+        [v, (v - 1) // 2, v + 1 - 2 * (v % 2 == 0), 2 * v + 1, 2 * v + 2]), m)]
     slot = {_CHILD: CHILD0 + (v + 1) % 2, _OTHER: CHILD0 + v % 2}
-    index = lambda u, t: slot.get(u, u) * (m + 1) + neighbour[t]  # slot u of N_t(v)
+    index = lambda u, t: slot.get(u, u) * (rows + 1) + neighbour[t]  # slot u of N_t(v)
     terms = tuple(tuple((s, (u,) if u >= 0 else (CHILD0, CHILD1), index(u, t)) for s, u in pairs)
                   for t, pairs in enumerate(_TERMS))
-    return Pattern(neighbour, np.stack([index(u, t) for t, u in enumerate(_TRANSPOSE)]), terms)
+    return Pattern(v, neighbour, np.stack([index(u, t) for t, u in enumerate(_TRANSPOSE)]),
+                   terms)
 
 
 def _pad(x: np.ndarray) -> np.ndarray:
@@ -66,7 +80,7 @@ def _pad(x: np.ndarray) -> np.ndarray:
 
 
 def at_neighbours(f: np.ndarray, p: Pattern) -> np.ndarray:
-    """A vertex function at each slot's neighbour, 0 where there is none."""
+    """A function of the rows at each slot's neighbour, 0 where there is none."""
     return np.take(_pad(f), p.neighbour, axis=-1)
 
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-MAX_DEPTH = 20  # 2^21 - 1 vertices; a check there peaks near 1.3 GB (the CLI asks 3.4 GB)
+# 2^21 - 1 vertices; a check there peaks at 0.24 GB for a code of a few cells and at
+# 1.23 GB when every interior vertex is its own row class (the CLI asks 0.33 and 1.54 GB)
+MAX_DEPTH = 20
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,12 @@ in sibling pairs, which are always both inside the window).  Identity checks
 are therefore restricted to the interior (depth <= d - 2), where compression
 artifacts vanish; the margin is two layers because the chirality block
 composes two depth-shifting factors.  The interior is the first
-m = 2^(d-1) - 1 vertices in breadth-first order, counted only in
-:func:`tree_operators`.  Tree operators are slot arrays (chiralwalk.linalg),
-linear in the vertices; coin-type operators are their diagonal blocks."""
+m = 2^(d-1) - 1 vertices in breadth-first order.  Tree operators are slot
+arrays (chiralwalk.linalg) and coin-type operators their diagonal blocks.
+The coin is constant on the cylinders of the walk's cells, so every vertex of
+one cell at one level has the same coin and the same neighbourhood: a walk's
+blocks hold one row per such class, and one per vertex above the cells,
+restricted from the depth's operators on every interior vertex."""
 
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cantor import prefix_cell
+from .cantor import code_trie
 from .linalg import (CHILD0, SELF, SIBLING, Pattern, at_neighbours,
                      diag_block_product, matmul, mul_diag_block_left, mul_diag_block_right,
                      pattern, transpose)
@@ -30,9 +33,10 @@ from .walk import WalkSpec
 
 
 class TreeOperators(NamedTuple):
-    """The walk-independent operators at one depth, as 1 x 1 grids: L's m
-    interior columns held by columns (each vertex's children) and E's m
-    interior rows held by rows, on the ``pattern`` of the interior."""
+    """The tree operators at one depth, as 1 x 1 grids: L's interior columns
+    held by columns (each vertex's children) and E's interior rows held by
+    rows, on the rows of ``pattern``: every interior vertex, or a walk's
+    row classes."""
 
     tree: TruncatedTree
     pattern: Pattern
@@ -55,44 +59,59 @@ def tree_operators(t: TruncatedTree) -> TreeOperators:
     defect[0, 0, SELF, :1] = 1.0
     defect[0, 0, SIBLING, 1:] = -r * r
     p = pattern(m)
-    for x in (isometry, defect, p.neighbour, p.transpose,
+    for x in (isometry, defect, p.first, p.neighbour, p.transpose,
               *(index for slot in p.terms for *_, index in slot)):
         x.flags.writeable = False
     return TreeOperators(t, p, isometry, defect)
 
 
 def coin_values(w: WalkSpec, t: TruncatedTree, rule: str = "leftmost"):
-    """Per-vertex coin data (a_v, b_v) as diagonal vectors in tree order.
+    """Coin data (a, b) of each row class of the vertices of t, and the first
+    vertex of each class, in tree order.
 
-    Vertices at or below the cell partition take their cell's value.  A
-    vertex above the partition takes the value at a boundary point of its
-    subtree: the all-zeros continuation under the default ``leftmost`` rule,
-    or the all-ones continuation under ``rightmost``.  Interior assignments
-    differ from each other by finitely many vertices only, so they never
-    affect boundary quantities; see the index-invariance tests.  A vertex
-    keeps its parent's cell unless the parent lies above that cell; level by
-    level, only such vertices are looked up, their bits filled to max_level.
+    A class is one vertex above the cell partition, or the vertices of one
+    cell at one level, which breadth-first order keeps in one run.  A cell's
+    vertices take its value.  A vertex above the partition takes the value at
+    a boundary point of its subtree: the all-zeros continuation under the
+    default ``leftmost`` rule, or the all-ones continuation under
+    ``rightmost``, that is the first or the last cell below it.  Interior
+    assignments differ from each other by finitely many vertices only, so
+    they never affect boundary quantities; see the index-invariance tests.
+    Level by level each vertex steps from its parent's node of the code's
+    trie to its own, and a class starts wherever the node changes in a level.
     """
-    fill = {"leftmost": "0", "rightmost": "1"}.get(rule)
+    fill = {"leftmost": 0, "rightmost": 1}.get(rule)
     if fill is None:
         raise ValueError(f"unknown interior rule {rule!r}")
-    width = max(w.max_level, 1)
-    prefixes = np.asarray(w.prefixes, dtype=bytes)
-    length = np.array([len(p) for p in w.prefixes])
-    cell = np.zeros(t.size, dtype=np.intp)
-    for k in range(t.depth + 1):
-        first = (1 << k) - 1
-        level = cell[first:2 * first + 1]
-        if k:
-            level[:] = np.repeat(cell[first // 2:first], 2)
-        offset = np.flatnonzero(length[level] >= k)
-        if offset.size:
-            codes = np.full((offset.size, width), ord(fill), dtype=np.uint8)
-            codes[:, :k] = (offset[:, None] >> np.arange(k - 1, -1, -1)) & 1 | ord("0")
-            level[offset] = prefix_cell(prefixes, codes.view(f"S{width}")[:, 0])
+    trie = code_trie(w.prefixes)
+    children = trie.table.reshape(-1, 2)
+    node = np.zeros(t.size, dtype=np.intp)
+    start = np.ones(t.size, dtype=bool)
+    for k in range(1, t.depth + 1):
+        lo = (1 << k) - 1   # level k is vertices lo .. 2 lo
+        level = node[lo:2 * lo + 1]
+        level[:] = children[node[lo // 2:lo]].ravel()
+        np.not_equal(level[1:], level[:-1], out=start[lo + 1:2 * lo + 1])
+    first = np.flatnonzero(start)
+    cell = trie.ends[fill, node[first]]
     a = np.array([coeff.a for _, coeff in w.cells])
     b = np.array([coeff.b for _, coeff in w.cells], dtype=np.complex128)
-    return a[cell], b[cell]
+    return a[cell], b[cell], first
+
+
+def row_count(w: WalkSpec, depth: int) -> int:
+    """The number of row classes of the interior at a truncation depth, from
+    the cell levels alone: on each level, its vertices above the cells and
+    one class per cell that reaches it."""
+    at = [0] * (depth - 1)   # cells per interior level
+    for prefix in w.prefixes:
+        if len(prefix) < depth - 1:
+            at[len(prefix)] += 1
+    rows = covered = cells = 0
+    for k, count in enumerate(at):
+        covered, cells = 2 * covered + count, cells + count
+        rows += (1 << k) - covered + cells
+    return rows
 
 
 def coin_blocks(a: np.ndarray, b: np.ndarray):
@@ -150,23 +169,25 @@ def chirality_direct(p: float, q: complex, a: np.ndarray, b: np.ndarray,
     return out[None, None]
 
 
-def conjugated_skew(skew: np.ndarray, a: np.ndarray, b: np.ndarray, p: Pattern) -> np.ndarray:
-    """The skew part conjugated into the coin eigenbasis: eps* Q eps.  Its
-    lower-left block is the chirality operator."""
-    eps = conjugator_blocks(a, b)
+def conjugated_skew(skew: np.ndarray, eps, p: Pattern) -> np.ndarray:
+    """The skew part conjugated into the coin eigenbasis: eps* Q eps, for the
+    conjugator's diagonal blocks ``eps``.  Its lower-left block is the
+    chirality operator."""
     return mul_diag_block_left(_dagger_blocks(eps), mul_diag_block_right(skew, eps, p))
 
 
 @dataclass
 class OperatorBundle:
     """What ``check_identities`` and ``route_disagreement`` read: the coin
-    data on the m interior vertices, the tree operators, and held by rows the
+    data and the diagonal blocks of the coin on the walk's row classes of the
+    interior, the tree operators restricted to them, and held by rows the
     2m x 2n ``symmetry`` strip and the 2m x 2m interior block ``skew`` of U - U*."""
 
     walk: WalkSpec
     ops: TreeOperators
     a: np.ndarray
     b: np.ndarray
+    coin: tuple
     symmetry: np.ndarray
     skew: np.ndarray
 
@@ -174,7 +195,8 @@ class OperatorBundle:
 def build_bundle(w: WalkSpec, depth: int, rule: str = "leftmost",
                  ops: TreeOperators | None = None) -> OperatorBundle:
     """The operator bundle at a truncation depth; pass ``ops`` to share the
-    tree operators across walks at one depth.  The coin couples each vertex
+    tree operators across walks at one depth; the bundle restricts them to
+    the walk's row classes of the interior.  The coin couples each vertex
     only to itself, so the interior block of U = (symmetry)(coin) is the
     symmetry's interior block times the interior coin, entry for entry."""
     if ops is None:
@@ -182,11 +204,15 @@ def build_bundle(w: WalkSpec, depth: int, rule: str = "leftmost",
     elif ops.tree.depth != depth:
         raise ValueError(f"tree operators are at depth {ops.tree.depth}, not {depth}")
     m = ops.defect.shape[-1]
-    a, b = (v[:m] for v in coin_values(w, ops.tree, rule))
+    a, b, first = coin_values(w, TruncatedTree(depth - 2), rule)  # the interior's classes
+    if len(first) < m:
+        ops = ops._replace(pattern=pattern(m, first), isometry=ops.isometry[..., first],
+                           defect=ops.defect[..., first])
+    coin = coin_blocks(a, b)
     gamma = shift_symmetry(ops, w.p, w.q)  # its interior block drops the children past m
-    u = mul_diag_block_right(np.where(ops.pattern.neighbour < m, gamma, 0), coin_blocks(a, b),
+    u = mul_diag_block_right(np.where(ops.pattern.neighbour < len(first), gamma, 0), coin,
                              ops.pattern)
-    return OperatorBundle(walk=w, ops=ops, a=a, b=b, symmetry=gamma,
+    return OperatorBundle(walk=w, ops=ops, a=a, b=b, coin=coin, symmetry=gamma,
                           skew=u - np.conj(transpose(u, ops.pattern)))
 
 
@@ -213,8 +239,8 @@ def check_identities(bundle: OperatorBundle) -> dict[str, float]:
     defect annihilates the isometry; the coin anticommutes with the skew part;
     and the conjugated skew part has vanishing diagonal blocks.  Only the
     symmetry square and E L contract over the truncation."""
-    a, b, gamma, skew, ops = bundle.a, bundle.b, bundle.symmetry, bundle.skew, bundle.ops
-    cblocks, eblocks = coin_blocks(a, b), conjugator_blocks(a, b)
+    gamma, skew, ops = bundle.symmetry, bundle.skew, bundle.ops
+    cblocks, eblocks = bundle.coin, conjugator_blocks(bundle.a, bundle.b)
     edagger = _dagger_blocks(eblocks)
     return {  # each product is dropped once its residual is read
         "symmetry_squared": _max_abs(  # gamma* by columns: conj(gamma), grid transposed
@@ -227,7 +253,7 @@ def check_identities(bundle: OperatorBundle) -> dict[str, float]:
         "coin_anticommutes_skew": _max_abs(mul_diag_block_left(cblocks, skew)
                                            + mul_diag_block_right(skew, cblocks, ops.pattern)),
         "conjugated_skew_diag_blocks": _max_abs(
-            conjugated_skew(skew, a, b, ops.pattern)[[0, 1], [0, 1]]),
+            conjugated_skew(skew, eblocks, ops.pattern)[[0, 1], [0, 1]]),
     }
 
 
@@ -235,4 +261,5 @@ def route_disagreement(bundle: OperatorBundle) -> float:
     """Interior max difference between the two chirality constructions."""
     a, b, ops = bundle.a, bundle.b, bundle.ops
     direct = chirality_direct(bundle.walk.p, bundle.walk.q, a, b, ops)
-    return _max_abs(direct - conjugated_skew(bundle.skew, a, b, ops.pattern)[1:, :1])
+    eps = conjugator_blocks(a, b)
+    return _max_abs(direct - conjugated_skew(bundle.skew, eps, ops.pattern)[1:, :1])

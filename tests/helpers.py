@@ -1,12 +1,14 @@
 """Shared generators for randomized walk specs, the JSON writers of the walk
 file formats that ``chiralwalk.walk`` parses, the address enumeration that
-witnesses the breadth-first vertex index of ``chiralwalk.tree``, the scans
-that witness the prefix-code lookup of ``chiralwalk.cantor``, the dense
-two-term kernels and the address-built neighbour pattern that witness the
-slot kernel of ``chiralwalk.linalg``, the dense full-truncation tree route
-that witnesses the tree operators and bundle of ``chiralwalk.treeop``, the
-dense Falk trace that witnesses ``chiralwalk.symbol.falk_pairing``, and the
-per-site lookup and dense lattice route that witness ``chiralwalk.onedim``."""
+witnesses the breadth-first vertex index of ``chiralwalk.tree``, the
+partition refinement by a sorted search and the scans that witness the
+prefix-code lookups of ``chiralwalk.cantor`` and ``chiralwalk.treeop``, the
+dense two-term kernels and the address-built neighbour pattern that witness
+the slot kernel of ``chiralwalk.linalg``, the row expansion and the dense
+full-truncation tree route that witness the tree operators and bundle of
+``chiralwalk.treeop``, the dense Falk trace that witnesses
+``chiralwalk.symbol.falk_pairing``, and the per-site lookup and dense lattice
+route that witness ``chiralwalk.onedim``."""
 
 from __future__ import annotations
 
@@ -17,10 +19,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from chiralwalk.cantor import Cylinder, check_vertex
+from chiralwalk.cantor import Cylinder, check_prefix_partition, check_vertex
 from chiralwalk.onedim import CRITICAL, TAIL_GAP, TAIL_SITES
 from chiralwalk.symbol import unilateral_shift
-from chiralwalk.treeop import coin_blocks, conjugator_blocks
+from chiralwalk.treeop import coin_blocks, coin_values, conjugator_blocks
 from chiralwalk.walk import LineWalkSpec, SphereCoeff, ValidationError, WalkSpec
 
 
@@ -69,10 +71,44 @@ def addresses(depth: int) -> list[str]:
     return out
 
 
-# --- the scanning prefix-code lookup ---------------------------------------
+# --- the sorted and the scanning prefix-code lookups --------------------------
 #
-# The cell lookup as it was before ``cantor.prefix_cell`` searched the sorted
-# prefixes: a test of every pair for nesting, and a scan over every cell.
+# The cell lookup as the library made it before it walked the code's trie: a
+# sorted search among the prefixes, and before that a test of every pair for
+# nesting and a scan over every cell.
+
+
+def prefix_cell(prefixes, codes) -> np.ndarray:
+    """Index of the prefix that each of ``codes`` extends in the sorted
+    complete prefix code ``prefixes`` (bit strings as ``str`` or ``bytes``).
+
+    Every code must be at least as long as the deepest prefix, so it extends
+    exactly one prefix; in sorted order a prefix comes right before the
+    strings that extend it, so that prefix is the last one not after the code.
+    """
+    return np.searchsorted(np.asarray(prefixes, dtype=bytes), np.asarray(codes, dtype=bytes),
+                           side="right") - 1
+
+
+def refine_partition(cells: list[Cylinder], level: int) -> list[tuple[Cylinder, Cylinder]]:
+    """Refine a cylinder partition to the full level-n partition.
+
+    Returns the 2**level cylinders of the given level in lexicographic order,
+    each paired with the ancestor cell it refines.  Fails when the cells do
+    not partition the boundary or when any cell is already finer than the
+    requested level.
+    """
+    check_prefix_partition([c.prefix for c in cells])
+    too_deep = [c for c in cells if c.level > level]
+    if too_deep:
+        raise ValueError(
+            f"cannot refine to level {level}: cells {[c.prefix for c in too_deep]} are finer")
+    if level > 30:
+        raise ValueError(f"refusing to enumerate 2^{level} cylinders")
+    cells = sorted(cells, key=lambda c: c.prefix)
+    codes = [format(i, f"0{level}b") if level else "" for i in range(1 << level)]
+    owners = prefix_cell([c.prefix for c in cells], codes)
+    return [(Cylinder(p), cells[i]) for p, i in zip(codes, owners)]
 
 
 def scan_check_prefix_partition(prefixes: list[str]) -> None:
@@ -88,7 +124,7 @@ def scan_check_prefix_partition(prefixes: list[str]) -> None:
 
 def scan_eval_boundary(w: WalkSpec, c: Cylinder) -> SphereCoeff:
     """Coefficient of the cell holding the cylinder ``c``.  Oracle for the
-    cells that ``cantor.refine_partition`` pairs with its cylinders."""
+    cells that :func:`refine_partition` pairs with its cylinders."""
     for prefix, coeff in w.cells:
         if c.prefix.startswith(prefix):
             return coeff
@@ -211,6 +247,39 @@ def dense_mul_diag_block_right(x: np.ndarray, d) -> np.ndarray:
     n = x.shape[1] // 2
     left, right = x[:, :n], x[:, n:]
     return np.hstack([left * d11 + right * d21, left * d12 + right * d22])
+
+
+# --- row classes ----------------------------------------------------------------
+#
+# A walk's bundle holds one row per class of interior vertices, each class a
+# run of consecutive vertices from its first vertex; repeating each row over
+# its run gives the arrays of a bundle whose every vertex is its own row.
+
+
+def expand_rows(x: np.ndarray, first: np.ndarray, m: int) -> np.ndarray:
+    """Each row of ``x`` (its last axis) repeated for every vertex of its
+    class: row r stands for vertices first[r] up to first[r + 1], the last
+    row up to m."""
+    return np.repeat(x, np.diff(first, append=m), axis=-1)
+
+
+def vertex_coins(w: WalkSpec, t, rule: str = "leftmost") -> tuple[np.ndarray, np.ndarray]:
+    """The coin data (a, b) of every vertex of t, from ``treeop.coin_values``'s
+    classes."""
+    a, b, first = coin_values(w, t, rule)
+    return expand_rows(a, first, t.size), expand_rows(b, first, t.size)
+
+
+def refine_walk(w: WalkSpec, level: int) -> WalkSpec:
+    """The walk with each cell above ``level`` split into its descendants at
+    that level, each with the cell's coefficient.  Every vertex keeps its coin
+    under either interior rule, and at depth level + 2 or less every interior
+    vertex is its own row class."""
+    cells = []
+    for prefix, coeff in w.cells:
+        k = max(level - len(prefix), 0)
+        cells += [(prefix + tail, coeff) for tail in addresses(k)[(1 << k) - 1:]]
+    return WalkSpec.make(w.p, w.q, cells)
 
 
 # --- the dense tree route -----------------------------------------------------

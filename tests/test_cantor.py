@@ -6,9 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chiralwalk.cantor import (Cylinder, Dyadic, ProductMeasure,
-                               check_prefix_partition, check_vertex, cylinder_measure,
-                               refine_partition)
-from helpers import scan_check_prefix_partition
+                               check_prefix_partition, check_vertex, cylinder_measure)
+from helpers import refine_partition, scan_check_prefix_partition
 
 dyadics = st.builds(Dyadic.make,
                     st.integers(min_value=-10**6, max_value=10**6),

@@ -12,8 +12,8 @@ import pytest
 
 from chiralwalk import cli, onedim
 from chiralwalk.cli import main
-from chiralwalk.walk import LineWalkSpec, WalkSpec
-from helpers import line_walk_to_json, sphere_coeff, walk_to_json
+from chiralwalk.walk import LineWalkSpec, WalkSpec, parse_walk
+from helpers import line_walk_to_json, refine_walk, sphere_coeff, walk_to_json
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -331,14 +331,15 @@ def meminfo(tmp_path, monkeypatch):
     ["falk"],
     ["falk", "--f-value", "1", "--measure", "bogus"],
     *([cmd, "--tol", tol] for cmd in ("check", "onedim") for tol in ("nan", "inf", "-1", "0")),
-    # arrays of 3.4 GB (check) and 11 GB (falk), against 3 GB available
+    # the depth-20 tree operators (0.33 GB with the interpreter) and arrays of
+    # 11 GB (falk), against 0.25 GB available
     ["check", "--depth", "20"],
     ["falk", "--f-value", "1", "--trunc", "200000000"],
     # a count whose byte size overflows a float
     ["winding", "--a", "0.5", "--samples", "1" + "0" * 400],
 ], ids=lambda argv: " ".join(argv)[:80])
 def test_invalid_arguments_exit_3_before_work(capsys, meminfo, walk_file, line_file, argv):
-    meminfo(3_000_000)
+    meminfo(250_000)
     if argv[0] in ("index", "check"):
         argv = argv + ["--walk", walk_file]
     if argv[0] == "onedim":
@@ -451,6 +452,26 @@ def test_preflight_reads_mem_available(capsys, meminfo, tmp_path, monkeypatch, w
     assert run(capsys, "check", "--walk", walk_file, "--depth", "6")[0] == 0
 
 
+def test_preflight_charges_the_row_classes(capsys, meminfo, tmp_path):
+    # at depth 18 the level-2 walk has 63 row classes and needs about 0.13 GB;
+    # refined to level 16 every interior vertex is its own class (131 071),
+    # and the same coefficients need about 0.43 GB: 0.25 GB runs the first
+    # and refuses the second once its file is read
+    w = parse_walk((CONFIGS / "level2_walk.json").read_text())
+    fine = tmp_path / "fine.json"
+    fine.write_text(walk_to_json(refine_walk(w, 16)))
+    meminfo(250_000)
+    code, out, _ = run(capsys, "check", "--walk", str(CONFIGS / "level2_walk.json"),
+                       "--depth", "18")
+    assert code == 0 and out.count(",pass") == 7
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "--walk", str(fine), "--depth", "18")
+    assert time.perf_counter() - start < 2.0
+    assert code == 3 and out == ""
+    assert err.startswith("error: --depth 18 needs about 0.4 GB of memory")
+    assert len(err.splitlines()) == 1
+
+
 # the CLI under a 3 GB address-space limit
 LIMITED_MAIN = """
 import resource, sys
@@ -458,17 +479,26 @@ from chiralwalk.cli import main
 resource.setrlimit(resource.RLIMIT_AS, (3_000_000 * 1024, resource.getrlimit(resource.RLIMIT_AS)[1]))
 sys.exit(main(sys.argv[1:]))
 """
+# the CLI under an address-space limit 0.25 GB above its size once imported
+LIMITED_ABOVE_SIZE = """
+import resource, sys
+from chiralwalk.cli import STATUS, _proc_bytes, main
+resource.setrlimit(resource.RLIMIT_AS, (_proc_bytes(STATUS, "VmSize") + 250_000_000,
+                                        resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(main(sys.argv[1:]))
+"""
 
 
 def test_preflight_reads_address_space_limit(walk_file):
-    # under a 3 GB address-space limit a depth-20 check (about 3.4 GB) is
-    # refused at once, where it would die in numpy after seconds of work
+    # under an address-space limit 0.25 GB above the process's size a
+    # depth-20 check (about 0.33 GB, most of it the depth's tree operators)
+    # is refused at once, where it would die in numpy partway through
     env = _src_env()
 
     def check(depth):
         start = time.perf_counter()
-        done = subprocess.run([sys.executable, "-c", LIMITED_MAIN, "check", "--walk", walk_file,
-                               "--depth", str(depth)],
+        done = subprocess.run([sys.executable, "-c", LIMITED_ABOVE_SIZE, "check", "--walk",
+                               walk_file, "--depth", str(depth)],
                               env=env, capture_output=True, text=True, timeout=300)
         return done, time.perf_counter() - start
 

@@ -3,11 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chiralwalk.cantor import Cylinder, Dyadic, ProductMeasure, refine_partition
+from chiralwalk.cantor import Cylinder, Dyadic, ProductMeasure
 from chiralwalk.index import (classify_point, s_index_exact, s_index_montecarlo)
 from chiralwalk.symbol import SymbolSingularError
 from chiralwalk.walk import WalkSpec
-from helpers import random_partition, random_walk_spec, reference_montecarlo, sphere_coeff
+from helpers import (random_partition, random_walk_spec, reference_montecarlo,
+                     refine_partition, sphere_coeff)
 
 
 def level2_walk():
@@ -188,14 +189,11 @@ def test_mc_matches_scalar_reference_on_random_walks(m, monkeypatch):
 def test_mc_decode_makes_no_sorted_search(monkeypatch):
     # the trie decode walks the code bit by bit; it never looks a code up
     # among the sorted cell prefixes
-    import chiralwalk.cantor as cantor
-
     def refuse(*args, **kwargs):
         raise AssertionError("a sorted search in the Monte Carlo decode")
 
     cases = [(w, m, reference_montecarlo(w, m, 700, seed=5).to_json())
              for w in (level2_walk(), comb_walk(40)) for m in MEASURES]
-    monkeypatch.setattr(cantor, "prefix_cell", refuse)
     monkeypatch.setattr(np, "searchsorted", refuse)
     for w, m, want in cases:
         assert s_index_montecarlo(w, m, 700, seed=5).to_json() == want

@@ -5,17 +5,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chiralwalk.cli import CHECK_VERTEX_BYTES
+from chiralwalk.cli import CHECK_CELL_BYTES, CHECK_ROW_BYTES, CHECK_VERTEX_BYTES
 from chiralwalk.linalg import matmul
 from chiralwalk.tree import truncated_tree
 from chiralwalk.treeop import (IDENTITY_NAMES, build_bundle, check_identities,
-                               chirality_direct, coin_blocks, coin_values,
-                               conjugated_skew, conjugator_blocks, route_disagreement,
+                               chirality_direct, coin_blocks, conjugated_skew,
+                               conjugator_blocks, route_disagreement, row_count,
                                shift_symmetry, tree_operators)
-from chiralwalk.walk import WalkSpec
+from chiralwalk.walk import WalkSpec, parse_walk
 from helpers import (addresses, assert_slots_exact, dense_chirality_direct,
                      dense_conjugated_skew, dense_skew, dense_symmetry, dense_tree_operators,
-                     densify, random_walk_spec, shift_matrix, sphere_coeff)
+                     densify, expand_rows, random_walk_spec, refine_walk, shift_matrix,
+                     sphere_coeff, vertex_coins)
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +38,7 @@ def dense(d):
 def chirality(w, dense_ops, rule="leftmost"):
     """The walk's chirality block on the whole truncation, by the direct
     route on the dense tree operators."""
-    a, b = coin_values(w, dense_ops.tree, rule)
+    a, b = vertex_coins(w, dense_ops.tree, rule)
     return dense_chirality_direct(w.p, w.q, a, b, dense_ops.isometry, dense_ops.defect)
 
 
@@ -168,7 +169,7 @@ def test_symmetry_degenerate_corner():
 def test_constant_swap_coin(ops6):
     t = ops6.tree
     w = WalkSpec.make(0.0, 1.0, [("", sphere_coeff(0.0))])  # (a, b) = (0, 1)
-    a, b = coin_values(w, t)
+    a, b = vertex_coins(w, t)
     c = dense(coin_blocks(a, b))
     n = t.size
     eye = np.eye(n)
@@ -184,7 +185,7 @@ def test_coin_eigenvalues_are_signs():
     t = truncated_tree(3)
     rng = np.random.default_rng(3)
     w = random_walk_spec(rng, max_level=2)
-    a, b = coin_values(w, t)
+    a, b = vertex_coins(w, t)
     c = dense(coin_blocks(a, b))
     eigenvalues = np.linalg.eigvalsh(c)
     assert np.max(np.abs(np.abs(eigenvalues) - 1.0)) < 1e-10
@@ -210,7 +211,7 @@ def test_chirality_conjugation_route_matches_everywhere(dense6):
     # conjugation route on the dense skew part of the whole truncation
     rng = np.random.default_rng(2)
     w = random_walk_spec(rng)
-    a, b = coin_values(w, dense6.tree)
+    a, b = vertex_coins(w, dense6.tree)
     n = dense6.tree.size
     skew = dense_skew(dense_symmetry(dense6.isometry, dense6.defect, w.p, w.q), a, b)
     conj = dense_conjugated_skew(skew, a, b)[n:, :n]
@@ -229,7 +230,7 @@ def test_p_zero_drops_scalar_term(dense6):
     # diagonal term is removed by hand
     rng = np.random.default_rng(14)
     w = random_walk_spec(rng, p_value=0.0)
-    a, b = coin_values(w, dense6.tree)
+    a, b = vertex_coins(w, dense6.tree)
     direct = dense_chirality_direct(0.0, w.q, a, b, dense6.isometry, dense6.defect)
     assert np.max(np.abs(chirality(w, dense6) - direct)) == 0.0
     assert np.max(np.abs(np.diag(direct) - np.diag(direct - np.diag(
@@ -248,62 +249,112 @@ def test_identities_random_specs(ops6):
         assert residuals["defect_kills_shift"] < 1e-14
 
 
+def by_vertex(bundle):
+    """The bundle's coin data, strip and interior skew part with each row
+    repeated for every vertex of its class."""
+    first, m = bundle.ops.pattern.first, bundle.ops.tree.size // 4
+    return [expand_rows(x, first, m) for x in (bundle.a, bundle.b, bundle.symmetry, bundle.skew)]
+
+
 def test_bundle_holds_the_dense_interior():
     # the coin data are the interior entries of the full coin data, and each
     # slot of the strip and of the interior skew part is the entry of the
     # full symmetry's interior rows and of the dense U - U*'s interior block,
-    # bit for bit; every entry off the pattern is a zero there
+    # bit for bit, once each row class is repeated for its vertices; every
+    # entry off the pattern is a zero there
     rng = np.random.default_rng(16)
     for depth in range(2, 9):
         w = random_walk_spec(rng)
         dense = dense_tree_operators(truncated_tree(depth))
         for rule in ("leftmost", "rightmost"):
-            bundle = build_bundle(w, depth, rule=rule)
+            a_in, b_in, symmetry, skew_in = by_vertex(build_bundle(w, depth, rule=rule))
             n = dense.tree.size
             inner = np.flatnonzero([len(v) <= depth - 2 for v in addresses(depth)])
             inner2 = np.concatenate([inner, n + inner])
-            a, b = coin_values(w, dense.tree, rule)
-            assert bundle.a.tobytes() == a[inner].tobytes(), (depth, rule)
-            assert bundle.b.tobytes() == b[inner].tobytes(), (depth, rule)
+            a, b = vertex_coins(w, dense.tree, rule)
+            assert a_in.tobytes() == a[inner].tobytes(), (depth, rule)
+            assert b_in.tobytes() == b[inner].tobytes(), (depth, rule)
             gamma = dense_symmetry(dense.isometry, dense.defect, w.p, w.q)
             skew = dense_skew(gamma, a, b)
-            assert_slots_exact(bundle.symmetry, gamma[inner2], cols=n)
-            assert_slots_exact(bundle.skew, skew[np.ix_(inner2, inner2)])
+            assert_slots_exact(symmetry, gamma[inner2], cols=n)
+            assert_slots_exact(skew_in, skew[np.ix_(inner2, inner2)])
 
 
 def test_products_match_the_dense_oracle():
     # the Gram product of the strip and E L on the slots against the dense
     # products of the oracle's interior rows and columns; the chirality
     # block's three-factor terms and the conjugated skew part bit for bit,
-    # being the same products and two-term sums
+    # being the same products and two-term sums; each on the walk's row
+    # classes, repeated for their vertices
     rng = np.random.default_rng(17)
     for depth in range(2, 9):
         w = random_walk_spec(rng)
         dense = dense_tree_operators(truncated_tree(depth))
         for rule in ("leftmost", "rightmost"):
             bundle = build_bundle(w, depth, rule=rule)
-            ops, n, m = bundle.ops, dense.tree.size, len(bundle.a)
+            ops, n, m = bundle.ops, dense.tree.size, dense.tree.size // 4
+            full = lambda x: expand_rows(x, ops.pattern.first, m)
             inner2 = np.r_[:m, n:n + m]
             gamma = dense_symmetry(dense.isometry, dense.defect, w.p, w.q)[inner2]
-            gram = densify(matmul(bundle.symmetry, np.conj(bundle.symmetry.swapaxes(0, 1)),
-                                  ops.pattern))
+            gram = densify(full(matmul(bundle.symmetry, np.conj(bundle.symmetry.swapaxes(0, 1)),
+                                       ops.pattern)))
             assert np.max(np.abs(gram - gamma @ gamma.conj().T), initial=0.0) <= 1e-15
-            el = densify(matmul(ops.defect, ops.isometry, ops.pattern))
+            el = densify(full(matmul(ops.defect, ops.isometry, ops.pattern)))
             assert np.max(np.abs(el - dense.defect[:m] @ dense.isometry[:, :m]),
                           initial=0.0) <= 1e-15
-            a, b = coin_values(w, dense.tree, rule)
+            a, b = vertex_coins(w, dense.tree, rule)
             direct = dense_chirality_direct(w.p, w.q, a, b, dense.isometry, dense.defect)
-            assert_slots_exact(chirality_direct(w.p, w.q, bundle.a, bundle.b, ops), direct[:m, :m])
+            assert_slots_exact(full(chirality_direct(w.p, w.q, bundle.a, bundle.b, ops)),
+                               direct[:m, :m])
             skew = dense_skew(dense_symmetry(dense.isometry, dense.defect, w.p, w.q), a, b)
-            conj = dense_conjugated_skew(skew[np.ix_(inner2, inner2)], bundle.a, bundle.b)
-            assert_slots_exact(conjugated_skew(bundle.skew, bundle.a, bundle.b, ops.pattern), conj)
+            conj = dense_conjugated_skew(skew[np.ix_(inner2, inner2)], a[:m], b[:m])
+            eps = conjugator_blocks(bundle.a, bundle.b)
+            assert_slots_exact(full(conjugated_skew(bundle.skew, eps, ops.pattern)), conj)
+
+
+def test_row_classes_expand_to_the_all_rows_bundle():
+    # random codes of levels 0-6 at depths 2-13, with p = 0 and |p| = 1
+    # (q = 0) among them: repeating each row for its class gives, bit for bit,
+    # the bundle of the same walk refined so that every interior vertex is its
+    # own row, from the same code path; the residuals are the same numbers
+    rng = np.random.default_rng(58)
+    for case in range(48):
+        depth, level = int(rng.integers(2, 14)), int(rng.integers(0, 7))
+        p_value = (None, 0.0, 1.0, -1.0)[case % 4]
+        if level:
+            w = random_walk_spec(rng, max_level=level, p_value=p_value)
+        else:   # the one-cell code: each level is one class
+            p = 0.3 if p_value is None else p_value
+            w = WalkSpec.make(p, np.sqrt(1 - p * p) * np.exp(0.4j),
+                              [("", sphere_coeff(float(rng.uniform(-0.9, 0.9)), 0.7))])
+        whole = refine_walk(w, depth - 2)
+        for rule in ("leftmost", "rightmost"):
+            bundle, rows = build_bundle(w, depth, rule=rule), build_bundle(whole, depth, rule=rule)
+            assert len(bundle.a) == row_count(w, depth), (case, depth)
+            assert len(rows.a) == row_count(whole, depth) == rows.ops.tree.size // 4
+            for got, want in zip(by_vertex(bundle), (rows.a, rows.b, rows.symmetry, rows.skew)):
+                assert got.tobytes() == want.tobytes(), (case, depth, rule)
+            assert check_identities(bundle) == check_identities(rows), (case, depth, rule)
+
+
+def test_row_counts_are_pinned():
+    # configs/level2_walk.json has 3 vertices above its four level-2 cells
+    # and a class in each cell on each of the levels 2 .. d - 2: 3 + 4 (d - 3)
+    # rows; a balanced code of level d - 2 keeps every interior vertex its
+    # own row
+    config = Path(__file__).resolve().parent.parent / "configs" / "level2_walk.json"
+    w = parse_walk(config.read_text())
+    for depth, rows in ((4, 7), (10, 31), (16, 55)):
+        assert row_count(w, depth) == len(build_bundle(w, depth).a) == rows
+    balanced = refine_walk(w, 6)
+    assert row_count(balanced, 8) == len(build_bundle(balanced, 8).a) == 2 ** 7 - 1
+    assert row_count(balanced, 10) == 2 ** 6 - 1 + 2 ** 6 * 3
 
 
 def test_skew_is_antiselfadjoint(ops6):
     rng = np.random.default_rng(15)
     w = random_walk_spec(rng)
-    bundle = build_bundle(w, 6, ops=ops6)
-    skew = densify(bundle.skew)
+    skew = densify(by_vertex(build_bundle(w, 6, ops=ops6))[3])
     assert np.max(np.abs(skew + skew.conj().T)) == 0.0
 
 
@@ -365,11 +416,14 @@ def test_bundle_dimensions(ops6):
     bundle = build_bundle(w, 6, ops=ops6)
     n = 2 ** 7 - 1
     m = 2 ** 5 - 1
-    assert bundle.ops.isometry.shape == bundle.ops.defect.shape == (1, 1, 5, m)
-    assert bundle.a.shape == bundle.b.shape == (m,)
-    assert bundle.symmetry.shape == bundle.skew.shape == (2, 2, 5, m)
-    assert densify(bundle.symmetry, cols=n).shape == (2 * m, 2 * n)
-    assert densify(bundle.skew).shape == (2 * m, 2 * m)
+    rows = row_count(w, 6)
+    assert ops6.isometry.shape == ops6.defect.shape == (1, 1, 5, m)
+    assert bundle.ops.isometry.shape == bundle.ops.defect.shape == (1, 1, 5, rows)
+    assert bundle.a.shape == bundle.b.shape == bundle.ops.pattern.first.shape == (rows,)
+    assert bundle.symmetry.shape == bundle.skew.shape == (2, 2, 5, rows)
+    _, _, symmetry, skew = by_vertex(bundle)
+    assert densify(symmetry, cols=n).shape == (2 * m, 2 * n)
+    assert densify(skew).shape == (2 * m, 2 * m)
     # the first m vertices are those of depth <= d - 2
     assert [len(v) <= 4 for v in addresses(6)] == [i < m for i in range(n)]
 
@@ -378,12 +432,16 @@ def test_skew_slots_do_not_depend_on_the_depth():
     # rows whose neighbours all lie in the depth-10 interior hold the same
     # bits at depth 13, where one slot block is above the 256 KiB at which
     # numpy evaluates x * tmp in place as tmp * x: every complex product has
-    # one operand order at every size
+    # one operand order at every size.  The walk is refined so that every
+    # interior vertex is its own row; its row classes give the same bits
     w = random_walk_spec(np.random.default_rng(56))
-    small, large = build_bundle(w, 10), build_bundle(w, 13)
+    whole = refine_walk(w, 11)
+    small, large = build_bundle(whole, 10), build_bundle(whole, 13)
     assert large.skew[0, 0].nbytes >= 256 * 1024 > small.skew.nbytes
     rows = (small.skew.shape[-1] - 1) // 2
     assert small.skew[..., :rows].tobytes() == large.skew[..., :rows].tobytes()
+    for depth, bundle in ((10, small), (13, large)):
+        assert by_vertex(build_bundle(w, depth))[3].tobytes() == bundle.skew.tobytes()
 
 
 def test_check_sorts_nothing(monkeypatch):
@@ -425,14 +483,17 @@ def test_check_memory_is_linear_in_the_vertices():
 
 
 def test_check_memory_does_not_grow_with_the_cell_depth():
-    # a comb whose cells reach level 2000: the check's peak per vertex stays
-    # within the preflight's budget (about 10.7 KB per vertex when every
-    # vertex's address was padded to the deepest cell level)
+    # a comb whose cells reach level 2000: the check's peak stays within the
+    # preflight's budget for its vertices, row classes and cells (about 10.7
+    # KB per vertex when every vertex's address was padded to the deepest
+    # cell level)
     code = ["0" * k + "1" for k in range(2000)] + ["0" * 2000]
     rng = np.random.default_rng(55)
     w = WalkSpec.make(0.3, np.sqrt(1 - 0.09),
                       [(prefix, sphere_coeff(float(rng.uniform(-0.9, 0.9)))) for prefix in code])
-    assert _check_peak(12, w) < CHECK_VERTEX_BYTES * truncated_tree(12).size
+    budget = (CHECK_VERTEX_BYTES * truncated_tree(12).size + CHECK_ROW_BYTES * row_count(w, 12)
+              + CHECK_CELL_BYTES * len(code))
+    assert _check_peak(12, w) < budget
 
 
 def test_build_bundle_rejects_mismatched_ops(ops6):
@@ -446,8 +507,8 @@ def test_tree_operators_are_cached_per_depth_and_read_only():
     first = tree_operators(truncated_tree(5))
     assert tree_operators(truncated_tree(5)) is first
     terms = [index for slot in first.pattern.terms for _, _, index in slot]
-    for x in (first.isometry, first.defect, first.pattern.neighbour, first.pattern.transpose,
-              *terms):
+    for x in (first.isometry, first.defect, first.pattern.first, first.pattern.neighbour,
+              first.pattern.transpose, *terms):
         assert not x.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         first.defect[0, 0, 0, 0] = 2.0

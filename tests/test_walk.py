@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from chiralwalk.cantor import Cylinder, ProductMeasure, refine_partition
+from chiralwalk.cantor import Cylinder, ProductMeasure
 from chiralwalk.index import s_index_exact
 from chiralwalk.onedim import build_line
 from chiralwalk.tree import truncated_tree
@@ -13,8 +13,8 @@ from chiralwalk.treeop import coin_values
 from chiralwalk.walk import (LineWalkSpec, SphereCoeff, ValidationError, WalkSpec,
                              parse_line_walk, parse_walk)
 from helpers import (addresses, line_sites, line_walk_to_json, random_partition,
-                     random_walk_spec, scan_eval_boundary, scan_eval_vertex, sphere_coeff,
-                     walk_to_json)
+                     random_walk_spec, refine_partition, scan_eval_boundary, scan_eval_vertex,
+                     sphere_coeff, vertex_coins, walk_to_json)
 
 
 def test_coeff_normalization():
@@ -55,7 +55,7 @@ def test_walkspec_normalizes_pq():
 def coin_at(w: WalkSpec, v: str, rule: str = "leftmost") -> tuple[float, complex]:
     """The coin data (a, b) that ``treeop.coin_values`` gives the vertex v."""
     depth = max(len(v), 1)
-    a, b = coin_values(w, truncated_tree(depth), rule)
+    a, b = vertex_coins(w, truncated_tree(depth), rule)
     i = addresses(depth).index(v)
     return a[i], b[i]
 
@@ -108,7 +108,7 @@ def test_lookup_matches_the_scan():
     t = truncated_tree(8)
     for w in _lookup_walks():
         for rule in ("leftmost", "rightmost"):
-            a, b = coin_values(w, t, rule)
+            a, b = vertex_coins(w, t, rule)
             expected = [scan_eval_vertex(w, v, rule) for v in addresses(8)]
             assert a.tolist() == [c.a for c in expected], (w.prefixes, rule)
             assert b.tolist() == [c.b for c in expected], (w.prefixes, rule)
