@@ -92,13 +92,10 @@ class ProductMeasure:
     ``uniform``   : weight 1/2, 1/2 at every coordinate.
     ``bernoulli`` : weight theta on symbol 0 and 1 - theta on symbol 1,
                     identically at every coordinate.
-    ``per_level`` : explicit weights for the first k coordinates, uniform
-                    afterwards.
     """
 
     kind: str
     theta: float = 0.5
-    level_thetas: tuple[float, ...] = ()
 
     @staticmethod
     def uniform() -> "ProductMeasure":
@@ -110,20 +107,12 @@ class ProductMeasure:
             raise ValueError(f"bernoulli weight must lie in (0, 1), got {theta}")
         return ProductMeasure("bernoulli", theta=theta)
 
-    @staticmethod
-    def per_level(*thetas: float) -> "ProductMeasure":
-        if any(not 0.0 < t < 1.0 for t in thetas):
-            raise ValueError("per-level weights must lie in (0, 1)")
-        return ProductMeasure("per_level", level_thetas=tuple(thetas))
-
     def weight(self, coordinate: int, bit: str) -> float:
         """Weight of ``bit`` at the given 1-based coordinate."""
         if self.kind == "uniform":
             w0 = 0.5
         elif self.kind == "bernoulli":
             w0 = self.theta
-        elif self.kind == "per_level":
-            w0 = self.level_thetas[coordinate - 1] if coordinate <= len(self.level_thetas) else 0.5
         else:
             raise ValueError(f"unknown measure kind {self.kind!r}")
         return w0 if bit == "0" else 1.0 - w0

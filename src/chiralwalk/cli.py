@@ -49,19 +49,18 @@ BASE_BYTES = 64e6    # interpreter, numpy and BLAS before the first dense array
 # a decode block under 5 MB at any code depth), 710 B per sweep row (with its loop), 32 B
 # per range-grid value, 48 B per unit of falk --trunc (the diagonals of its banded factors),
 # 208 B per lattice site that onedim reads (the bundle's coefficient arrays, the chirality
-# diagonals and the transfer matrices), and for a check at depths 12-20: 114-115 B per tree
-# vertex (the depth's tree operators at their build, 96 B resident, and the coin descent),
-# 1964-2048 B per row class of the interior (the bundle and the products; a balanced code
-# whose every interior vertex is its own class and the level-2000 comb included) and
-# 320-352 B per cell (the code's trie)
+# diagonals and the transfer matrices), and for a check at depths 12-20: 2170-2340 B per
+# row class of the interior (the coin descent, the bundle and the products; a balanced
+# code whose every interior vertex is its own class, up to 1.23 GB at depth 20) and 330 B
+# per cell (the code's trie; the level-2000 comb), beside a fixed 20-30 KB of index
+# tuples and array headers inside BASE_BYTES
 CIRCLE_SAMPLE_BYTES = 80
 MC_SAMPLE_BYTES = 32
 ROW_BYTES = 800
 GRID_BYTES = 40
 TRUNC_BYTES = 56
 SITE_BYTES = 240
-CHECK_VERTEX_BYTES = 128
-CHECK_ROW_BYTES = 2100
+CHECK_ROW_BYTES = 2400
 CHECK_CELL_BYTES = 400
 
 
@@ -177,11 +176,10 @@ def cmd_check(args) -> int:
     if not 2 <= args.depth <= MAX_DEPTH:
         raise ValidationError(f"--depth must lie in [2, {MAX_DEPTH}], got {args.depth}")
     w = parse_walk(_read_text(args.walk))
-    # the depth's tree operators hold a few slots per vertex of the window, the
-    # bundle and the products a few per row class of the interior, and the
-    # code's trie a few words per cell
-    _preflight(f"--depth {args.depth}", CHECK_VERTEX_BYTES * (2 ** (args.depth + 1) - 1)
-               + CHECK_ROW_BYTES * row_count(w, args.depth) + CHECK_CELL_BYTES * len(w.cells))
+    # the descent, the bundle and the products hold a few slots per row class
+    # of the interior, and the code's trie a few words per cell
+    _preflight(f"--depth {args.depth}",
+               CHECK_ROW_BYTES * row_count(w, args.depth) + CHECK_CELL_BYTES * len(w.cells))
     bundle = build_bundle(w, args.depth)
     residuals = check_identities(bundle)
     buf = io.StringIO()

@@ -2,17 +2,17 @@
 
 In breadth-first order every interior block of the tree operators lives on
 one pattern: vertex v with itself, its parent (v - 1) // 2, its sibling and
-its children 2v + 1 and 2v + 2.  A block holds one row per class of the m
-interior vertices, a run of consecutive vertices of one level whose rows are
-copies of each other (each vertex is its own class in the whole block).  On
-R classes it is one (5, R) complex array whose slot s holds the entry of the
-class's first vertex v in column N_s(v), named by the class of N_s(v), and
-exactly 0 where that neighbour is missing or outside the block's columns (an
-m x n strip reaches past the interior only through the child slots).  A
-block held by columns is its transpose held by rows; an operator is a grid
-of blocks, an (I, J, 5, R) array.  Products and transposes are gathers on
-fixed index arrays plus elementwise numpy, so each kept entry is formed from
-the same operands as in the whole block.
+its children 2v + 1 and 2v + 2.  A block holds one row per class of interior
+vertices whose rows are copies of each other (each vertex may be its own
+class).  On R classes it is one (5, R) complex array whose slot s holds the
+entry of the class's first vertex v in column N_s(v), and exactly 0 where
+that neighbour is missing or outside the block's columns (an m x n strip
+reaches past the interior only through the child slots).  The pattern is
+built from a (5, R) table naming the class of each N_s(v); it knows nothing
+else of the classes.  A block held by columns is its transpose held by rows;
+an operator is a grid of blocks, an (I, J, 5, R) array.  Products and
+transposes are gathers on fixed index arrays plus elementwise numpy, so each
+kept entry is formed from the same operands as in the whole block.
 
 Sum order, which the pinned residual digits fix: each entry is its terms in
 column order summed as ``np.add.reduceat`` sums a run, t0 + ((t1 + t2) + t3).
@@ -46,33 +46,28 @@ _TERMS = (
 
 
 class Pattern(NamedTuple):
-    """The index arrays on the rows of the m interior vertices; index
-    s * (R + 1) + w reads slot s, row w of a block of R rows padded with a 0 row."""
+    """The index arrays on R rows; index s * (R + 1) + w reads slot s, row w
+    of a block of R rows padded with a 0 row."""
 
-    first: np.ndarray       # (R,): each row's first vertex; the row runs to the next one's
     neighbour: np.ndarray   # (5, R): the row of N_s(v), or R where it is missing or outside
     transpose: np.ndarray   # (5, R): the index of x.T's slot s of row v in padded x
     terms: tuple            # per output slot: (x slot, y slots, index into padded y)
 
 
-def pattern(m: int, first: np.ndarray | None = None) -> Pattern:
-    """The pattern on the rows of m interior vertices that start at the
-    ascending vertices ``first`` (by default each vertex is its own row).  A
-    row's first vertex picks its own slot below its parent; the other members
-    of a class share its parent's class, whose two child slots are equal."""
-    v = np.arange(m) if first is None else first
-    rows = len(v)
-    starts = np.zeros(m + 1, dtype=np.intp)
-    starts[v] = starts[m] = 1
-    row = np.cumsum(starts) - 1   # each vertex's row; row[m] = row[-1] = R marks none
-    neighbour = row[np.minimum(np.stack(
-        [v, (v - 1) // 2, v + 1 - 2 * (v % 2 == 0), 2 * v + 1, 2 * v + 2]), m)]
-    slot = {_CHILD: CHILD0 + (v + 1) % 2, _OTHER: CHILD0 + v % 2}
+def pattern(neighbour: np.ndarray) -> Pattern:
+    """The pattern on the rows that the (5, R) table ``neighbour`` links: the
+    row of each row's self, parent, sibling and two children, R where there is
+    none.  A row sits in its parent's first child slot or else in its second;
+    a row whose vertices fill both child slots of one parent row (the runs of
+    a class) takes the first, as its first vertex does."""
+    rows = neighbour.shape[1]
+    below = np.append(neighbour[CHILD0], rows)[neighbour[PARENT]]
+    own = np.where(below == np.arange(rows), CHILD0, CHILD1)   # v's own slot below its parent
+    slot = {_CHILD: own, _OTHER: CHILD0 + CHILD1 - own}
     index = lambda u, t: slot.get(u, u) * (rows + 1) + neighbour[t]  # slot u of N_t(v)
     terms = tuple(tuple((s, (u,) if u >= 0 else (CHILD0, CHILD1), index(u, t)) for s, u in pairs)
                   for t, pairs in enumerate(_TERMS))
-    return Pattern(v, neighbour, np.stack([index(u, t) for t, u in enumerate(_TRANSPOSE)]),
-                   terms)
+    return Pattern(neighbour, np.stack([index(u, t) for t, u in enumerate(_TRANSPOSE)]), terms)
 
 
 def _pad(x: np.ndarray) -> np.ndarray:

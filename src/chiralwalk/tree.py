@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# 2^21 - 1 vertices; a check there peaks at 0.24 GB for a code of a few cells and at
-# 1.23 GB when every interior vertex is its own row class (the CLI asks 0.33 and 1.54 GB)
+# 2^21 - 1 vertices; a check there peaks at 0.2 MB for a code of a few cells and at
+# 1.23 GB when every interior vertex is its own row class (the CLI asks 0.06 and 1.43 GB)
 MAX_DEPTH = 20
 
 

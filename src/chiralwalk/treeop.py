@@ -12,12 +12,12 @@ m = 2^(d-1) - 1 vertices in breadth-first order.  Tree operators are slot
 arrays (chiralwalk.linalg) and coin-type operators their diagonal blocks.
 The coin is constant on the cylinders of the walk's cells, so every vertex of
 one cell at one level has the same coin and the same neighbourhood: a walk's
-blocks hold one row per such class, and one per vertex above the cells,
-restricted from the depth's operators on every interior vertex."""
+blocks hold one row per such class, and one per vertex above the cells.  The
+coin descent and every operator follow these rows, never the vertices: a row
+of L and E is the root's or that of every other vertex."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cantor import code_trie
-from .linalg import (CHILD0, SELF, SIBLING, Pattern, at_neighbours,
+from .linalg import (CHILD0, CHILD1, PARENT, SELF, SIBLING, Pattern, at_neighbours,
                      diag_block_product, matmul, mul_diag_block_left, mul_diag_block_right,
                      pattern, transpose)
 from .tree import TruncatedTree, truncated_tree
@@ -33,41 +33,34 @@ from .walk import WalkSpec
 
 
 class TreeOperators(NamedTuple):
-    """The tree operators at one depth, as 1 x 1 grids: L's interior columns
-    held by columns (each vertex's children) and E's interior rows held by
-    rows, on the rows of ``pattern``: every interior vertex, or a walk's
-    row classes."""
+    """L's interior columns held by columns (each vertex's children) and E's
+    interior rows held by rows, as 1 x 1 grids on the rows of ``pattern``;
+    without a pattern, on two rows: the root's and every other vertex's."""
 
     tree: TruncatedTree
-    pattern: Pattern
     isometry: np.ndarray
     defect: np.ndarray
+    pattern: Pattern | None = None
 
 
-@functools.lru_cache(maxsize=1)
 def tree_operators(t: TruncatedTree) -> TreeOperators:
     """Isometry L = S / sqrt(2) of the shift (S f)(v) = f(parent(v)), and
-    defect E = 1 - L L* on the m = 2^(d-1) - 1 interior vertices: 1 at the
-    root, 1 - r r on every other diagonal entry and -r r between siblings,
-    r = 1/sqrt(2), the entries of 1 - L L* bit for bit without the product.
-    One depth is cached, shared by its walks, so the arrays are read-only."""
-    m = t.size // 4  # (2^(d+1) - 1) // 4 = 2^(d-1) - 1
+    defect E = 1 - L L* on the interior, on its two kinds of row: r = 1/sqrt(2)
+    at both children in every column of L; 1 on E's diagonal at the root, and
+    1 - r r on it and -r r at the sibling elsewhere, the entries of 1 - L L*
+    bit for bit without the product."""
     r = 1.0 / math.sqrt(2.0)
-    isometry, defect = np.zeros((2, 1, 1, 5, m), dtype=np.complex128)
+    isometry, defect = np.zeros((2, 1, 1, 5, 2), dtype=np.complex128)
     isometry[0, 0, CHILD0:] = r
-    defect[0, 0, SELF] = 1.0 - r * r
-    defect[0, 0, SELF, :1] = 1.0
-    defect[0, 0, SIBLING, 1:] = -r * r
-    p = pattern(m)
-    for x in (isometry, defect, p.first, p.neighbour, p.transpose,
-              *(index for slot in p.terms for *_, index in slot)):
-        x.flags.writeable = False
-    return TreeOperators(t, p, isometry, defect)
+    defect[0, 0, SELF] = 1.0, 1.0 - r * r
+    defect[0, 0, SIBLING, 1] = -r * r
+    return TreeOperators(t, isometry, defect)
 
 
 def coin_values(w: WalkSpec, t: TruncatedTree, rule: str = "leftmost"):
-    """Coin data (a, b) of each row class of the vertices of t, and the first
-    vertex of each class, in tree order.
+    """Coin data (a, b) of each row class of the vertices of t, each class's
+    first vertex, and the (5, R) table of the classes of that vertex's self,
+    parent, sibling and two children (R where there is none), in tree order.
 
     A class is one vertex above the cell partition, or the vertices of one
     cell at one level, which breadth-first order keeps in one run.  A cell's
@@ -77,26 +70,44 @@ def coin_values(w: WalkSpec, t: TruncatedTree, rule: str = "leftmost"):
     ``rightmost``, that is the first or the last cell below it.  Interior
     assignments differ from each other by finitely many vertices only, so
     they never affect boundary quantities; see the index-invariance tests.
-    Level by level each vertex steps from its parent's node of the code's
-    trie to its own, and a class starts wherever the node changes in a level.
+    The descent steps down the code's trie one class at a time: a class above
+    the cells has a child class at each bit, a cell's class one, its run a
+    level down.  So each level's classes are the last level's children in
+    order, and all children together are the classes after the root.
     """
     fill = {"leftmost": 0, "rightmost": 1}.get(rule)
     if fill is None:
         raise ValueError(f"unknown interior rule {rule!r}")
     trie = code_trie(w.prefixes)
-    children = trie.table.reshape(-1, 2)
-    node = np.zeros(t.size, dtype=np.intp)
-    start = np.ones(t.size, dtype=bool)
-    for k in range(1, t.depth + 1):
-        lo = (1 << k) - 1   # level k is vertices lo .. 2 lo
-        level = node[lo:2 * lo + 1]
-        level[:] = children[node[lo // 2:lo]].ravel()
-        np.not_equal(level[1:], level[:-1], out=start[lo + 1:2 * lo + 1])
-    first = np.flatnonzero(start)
-    cell = trie.ends[fill, node[first]]
+    children = trie.table.reshape(-1, 2).copy()
+    children[trie.inner:, 1] = -1   # a cell is its own child on bit 0 alone
+    node, first = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
+    nodes, firsts, step = [node], [first], np.array([1, 2])
+    levels = min(w.max_level, t.depth)   # below the deepest cell every class is a cell's,
+    for _ in range(levels):              # whose one child class runs on a level down
+        pairs = children[node].ravel()
+        kept = pairs >= 0
+        node, first = pairs[kept], (2 * first[:, None] + step).ravel()[kept]
+        nodes.append(node)
+        firsts.append(first)
+    below = np.arange(1, t.depth - levels + 1)[:, None]
+    nodes.append(node[None].repeat(len(below), axis=0).ravel())
+    firsts.append((((first + 1) << below) - 1).ravel())
+    last = len(node)   # the classes on each level from the deepest cell's on
+    node, first = np.concatenate(nodes), np.concatenate(firsts)
+    rows, above = len(node), len(node) - last
+    two = node[:above] < trie.inner
+    count = 1 + two
+    neighbour = np.full((5, rows), rows, dtype=np.intp)
+    neighbour[SELF] = np.arange(rows)
+    neighbour[CHILD0, :above] = np.cumsum(count) - two
+    neighbour[CHILD1, :above] = neighbour[CHILD0, :above] + two
+    parent = neighbour[PARENT, 1:] = np.repeat(np.arange(above), count)
+    neighbour[SIBLING, 1:] = neighbour[CHILD0:, parent].sum(axis=0) - neighbour[SELF, 1:]
+    cell = trie.ends[fill, node]
     a = np.array([coeff.a for _, coeff in w.cells])
     b = np.array([coeff.b for _, coeff in w.cells], dtype=np.complex128)
-    return a[cell], b[cell], first
+    return a[cell], b[cell], first, neighbour
 
 
 def row_count(w: WalkSpec, depth: int) -> int:
@@ -180,7 +191,7 @@ def conjugated_skew(skew: np.ndarray, eps, p: Pattern) -> np.ndarray:
 class OperatorBundle:
     """What ``check_identities`` and ``route_disagreement`` read: the coin
     data and the diagonal blocks of the coin on the walk's row classes of the
-    interior, the tree operators restricted to them, and held by rows the
+    interior, the tree operators laid over them, and held by rows the
     2m x 2n ``symmetry`` strip and the 2m x 2m interior block ``skew`` of U - U*."""
 
     walk: WalkSpec
@@ -195,23 +206,21 @@ class OperatorBundle:
 def build_bundle(w: WalkSpec, depth: int, rule: str = "leftmost",
                  ops: TreeOperators | None = None) -> OperatorBundle:
     """The operator bundle at a truncation depth; pass ``ops`` to share the
-    tree operators across walks at one depth; the bundle restricts them to
-    the walk's row classes of the interior.  The coin couples each vertex
-    only to itself, so the interior block of U = (symmetry)(coin) is the
-    symmetry's interior block times the interior coin, entry for entry."""
+    tree operators across walks at one depth; the bundle lays them over the
+    walk's row classes of the interior.  The coin couples each vertex only to
+    itself, so the interior block of U = (symmetry)(coin) is the symmetry's
+    interior block times the interior coin, entry for entry."""
     if ops is None:
         ops = tree_operators(truncated_tree(depth))
     elif ops.tree.depth != depth:
         raise ValueError(f"tree operators are at depth {ops.tree.depth}, not {depth}")
-    m = ops.defect.shape[-1]
-    a, b, first = coin_values(w, TruncatedTree(depth - 2), rule)  # the interior's classes
-    if len(first) < m:
-        ops = ops._replace(pattern=pattern(m, first), isometry=ops.isometry[..., first],
-                           defect=ops.defect[..., first])
+    a, b, first, neighbour = coin_values(w, TruncatedTree(depth - 2), rule)  # the interior's
+    kind = np.minimum(first, 1)   # the root's row of L and E, or every other vertex's
+    ops = TreeOperators(ops.tree, ops.isometry[..., kind], ops.defect[..., kind],
+                        pattern(neighbour))
     coin = coin_blocks(a, b)
     gamma = shift_symmetry(ops, w.p, w.q)  # its interior block drops the children past m
-    u = mul_diag_block_right(np.where(ops.pattern.neighbour < len(first), gamma, 0), coin,
-                             ops.pattern)
+    u = mul_diag_block_right(np.where(neighbour < len(first), gamma, 0), coin, ops.pattern)
     return OperatorBundle(walk=w, ops=ops, a=a, b=b, coin=coin, symmetry=gamma,
                           skew=u - np.conj(transpose(u, ops.pattern)))
 

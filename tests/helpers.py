@@ -22,7 +22,8 @@ import numpy as np
 from chiralwalk.cantor import Cylinder, check_prefix_partition, check_vertex
 from chiralwalk.onedim import CRITICAL, TAIL_GAP, TAIL_SITES
 from chiralwalk.symbol import unilateral_shift
-from chiralwalk.treeop import coin_blocks, coin_values, conjugator_blocks
+from chiralwalk.tree import TruncatedTree
+from chiralwalk.treeop import build_bundle, coin_blocks, coin_values, conjugator_blocks
 from chiralwalk.walk import LineWalkSpec, SphereCoeff, ValidationError, WalkSpec
 
 
@@ -180,7 +181,8 @@ def dense_falk_pairing(f_value: int, trunc: int) -> float:
 def slot_neighbours(m: int) -> np.ndarray:
     """The (5, m) columns that the self, parent, sibling and two child slots
     of the m interior vertices name, -1 where there is none, found from the
-    vertex addresses.  Oracle for ``linalg.pattern``."""
+    vertex addresses.  Oracle for the neighbour table of
+    ``treeop.coin_values`` and for ``linalg.pattern``."""
     vertices = addresses((m + 1).bit_length())
     index = {v: i for i, v in enumerate(vertices)}
     out = np.full((5, m), -1)
@@ -266,8 +268,14 @@ def expand_rows(x: np.ndarray, first: np.ndarray, m: int) -> np.ndarray:
 def vertex_coins(w: WalkSpec, t, rule: str = "leftmost") -> tuple[np.ndarray, np.ndarray]:
     """The coin data (a, b) of every vertex of t, from ``treeop.coin_values``'s
     classes."""
-    a, b, first = coin_values(w, t, rule)
+    a, b, first, _ = coin_values(w, t, rule)
     return expand_rows(a, first, t.size), expand_rows(b, first, t.size)
+
+
+def class_firsts(bundle) -> np.ndarray:
+    """The first vertex of each row class of a bundle's interior, which the
+    code alone fixes, whatever the interior rule."""
+    return coin_values(bundle.walk, TruncatedTree(bundle.ops.tree.depth - 2))[2]
 
 
 def refine_walk(w: WalkSpec, level: int) -> WalkSpec:
@@ -280,6 +288,13 @@ def refine_walk(w: WalkSpec, level: int) -> WalkSpec:
         k = max(level - len(prefix), 0)
         cells += [(prefix + tail, coeff) for tail in addresses(k)[(1 << k) - 1:]]
     return WalkSpec.make(w.p, w.q, cells)
+
+
+def vertex_operators(depth: int):
+    """The tree operators laid over every interior vertex at a depth: those
+    of the bundle of a walk whose every interior vertex is its own row class."""
+    w = WalkSpec.make(0.0, 1.0, [("", sphere_coeff(0.0))])
+    return build_bundle(refine_walk(w, depth - 2), depth).ops
 
 
 # --- the dense tree route -----------------------------------------------------

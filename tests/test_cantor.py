@@ -93,14 +93,6 @@ def test_bernoulli_additivity(prefix, theta):
     assert abs(whole - split) <= 1e-15
 
 
-def test_per_level_measure():
-    m = ProductMeasure.per_level(0.25, 0.75)
-    assert float(cylinder_measure(m, Cylinder("0"))) == pytest.approx(0.25)
-    assert float(cylinder_measure(m, Cylinder("00"))) == pytest.approx(0.25 * 0.75)
-    # uniform past the listed levels
-    assert float(cylinder_measure(m, Cylinder("001"))) == pytest.approx(0.25 * 0.75 * 0.5)
-
-
 # --- partitions ---------------------------------------------------------------
 
 def test_partition_recognition():

@@ -29,6 +29,16 @@ def walk_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def wide_walk_file(tmp_path_factory):
+    """configs/level2_walk.json refined to level 14: 16 384 cells, and 98 303
+    row classes at depth 20."""
+    path = tmp_path_factory.mktemp("wide") / "wide.json"
+    path.write_text(walk_to_json(refine_walk(parse_walk((CONFIGS / "level2_walk.json").read_text()),
+                                             14)))
+    return str(path)
+
+
 @pytest.fixture()
 def line_file(tmp_path):
     middle = [(n, sphere_coeff(0.9 + (n + 4) / 8 * (0.3 - 0.9))) for n in range(-4, 5)]
@@ -331,17 +341,20 @@ def meminfo(tmp_path, monkeypatch):
     ["falk"],
     ["falk", "--f-value", "1", "--measure", "bogus"],
     *([cmd, "--tol", tol] for cmd in ("check", "onedim") for tol in ("nan", "inf", "-1", "0")),
-    # the depth-20 tree operators (0.33 GB with the interpreter) and arrays of
-    # 11 GB (falk), against 0.25 GB available
+    # a depth-20 check of 98 303 row classes (0.30 GB with the interpreter)
+    # and arrays of 11 GB (falk), against 0.25 GB available
     ["check", "--depth", "20"],
     ["falk", "--f-value", "1", "--trunc", "200000000"],
     # a count whose byte size overflows a float
     ["winding", "--a", "0.5", "--samples", "1" + "0" * 400],
 ], ids=lambda argv: " ".join(argv)[:80])
-def test_invalid_arguments_exit_3_before_work(capsys, meminfo, walk_file, line_file, argv):
+def test_invalid_arguments_exit_3_before_work(capsys, meminfo, walk_file, wide_walk_file,
+                                              line_file, argv):
     meminfo(250_000)
-    if argv[0] in ("index", "check"):
+    if argv[0] == "index":
         argv = argv + ["--walk", walk_file]
+    if argv[0] == "check":
+        argv = argv + ["--walk", wide_walk_file]
     if argv[0] == "onedim":
         argv = argv + ["--walk", line_file]
     start = time.perf_counter()
@@ -452,10 +465,20 @@ def test_preflight_reads_mem_available(capsys, meminfo, tmp_path, monkeypatch, w
     assert run(capsys, "check", "--walk", walk_file, "--depth", "6")[0] == 0
 
 
+def test_preflight_asks_only_for_the_row_classes(capsys, meminfo):
+    # depth 20 on configs/level2_walk.json: 71 row classes, about 64 MB with
+    # the interpreter; the depth's tree operators on every interior vertex
+    # once made it ask 0.33 GB
+    meminfo(97_000)
+    code, out, _ = run(capsys, "check", "--walk", str(CONFIGS / "level2_walk.json"),
+                       "--depth", "20")
+    assert code == 0 and out.count(",pass") == 7
+
+
 def test_preflight_charges_the_row_classes(capsys, meminfo, tmp_path):
-    # at depth 18 the level-2 walk has 63 row classes and needs about 0.13 GB;
+    # at depth 18 the level-2 walk has 63 row classes and needs about 0.06 GB;
     # refined to level 16 every interior vertex is its own class (131 071),
-    # and the same coefficients need about 0.43 GB: 0.25 GB runs the first
+    # and the same coefficients need about 0.40 GB: 0.25 GB runs the first
     # and refuses the second once its file is read
     w = parse_walk((CONFIGS / "level2_walk.json").read_text())
     fine = tmp_path / "fine.json"
@@ -489,25 +512,25 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def test_preflight_reads_address_space_limit(walk_file):
+def test_preflight_reads_address_space_limit(walk_file, wide_walk_file):
     # under an address-space limit 0.25 GB above the process's size a
-    # depth-20 check (about 0.33 GB, most of it the depth's tree operators)
-    # is refused at once, where it would die in numpy partway through
+    # depth-20 check of 98 303 row classes (about 0.30 GB) is refused at
+    # once, where it would die in numpy partway through
     env = _src_env()
 
-    def check(depth):
+    def check(path, depth):
         start = time.perf_counter()
         done = subprocess.run([sys.executable, "-c", LIMITED_ABOVE_SIZE, "check", "--walk",
-                               walk_file, "--depth", str(depth)],
+                               path, "--depth", str(depth)],
                               env=env, capture_output=True, text=True, timeout=300)
         return done, time.perf_counter() - start
 
-    done, seconds = check(20)
+    done, seconds = check(wide_walk_file, 20)
     assert done.returncode == 3, done.stderr
     assert seconds < 1.0
     assert done.stdout == ""
     assert done.stderr.startswith("error: --depth 20 needs about")
-    done, _ = check(6)
+    done, _ = check(walk_file, 6)
     assert done.returncode == 0, done.stderr
 
 

@@ -135,8 +135,7 @@ def comb_walk(level):
         (prefix, sphere_coeff(a_values[i % 3], 0.7 * i)) for i, prefix in enumerate(prefixes)])
 
 
-MEASURES = [ProductMeasure.uniform(), ProductMeasure.bernoulli(0.3),
-            ProductMeasure.per_level(0.2, 0.8, 0.45, 0.6)]
+MEASURES = [ProductMeasure.uniform(), ProductMeasure.bernoulli(0.3)]
 
 
 def random_code(rng, family: str, depth: int) -> list[str]:
@@ -199,8 +198,8 @@ def test_mc_decode_makes_no_sorted_search(monkeypatch):
         assert s_index_montecarlo(w, m, 700, seed=5).to_json() == want
 
 
-@pytest.mark.parametrize("m", [ProductMeasure.uniform(), ProductMeasure.bernoulli(0.9),
-                               ProductMeasure.per_level(*[0.95] * 30)], ids=lambda m: m.kind)
+@pytest.mark.parametrize("m", [ProductMeasure.uniform(), ProductMeasure.bernoulli(0.9)],
+                         ids=lambda m: m.kind)
 def test_mc_matches_scalar_reference_on_level40_comb(m):
     w = comb_walk(40)
     for samples, seed in [(1, 3), (2500, 17)]:

@@ -34,17 +34,32 @@ def dense(d):
     return np.block([[np.diag(d11), np.diag(d12)], [np.diag(d21), np.diag(d22)]])
 
 
+def vertex_pattern(m):
+    """The pattern on m interior vertices, each its own row, from the
+    neighbours of their addresses."""
+    table = slot_neighbours(m)
+    table[(table < 0) | (table >= m)] = m
+    return pattern(table)
+
+
 @pytest.mark.parametrize("m", [0, 1, 3, 7, 63])
 def test_pattern_names_the_neighbours_of_the_addresses(m):
-    expected = slot_neighbours(m)
-    expected[(expected < 0) | (expected >= m)] = m
-    assert np.array_equal(pattern(m).neighbour, expected)
+    # each slot of x.T reads, in the row of the addressed neighbour, the slot
+    # that names the row back: the pattern finds a row's own slot below its
+    # parent from the table alone
+    p, column = vertex_pattern(m), slot_neighbours(m)
+    for t, v in np.ndindex(5, m):
+        slot, row = divmod(int(p.transpose[t, v]), m + 1)
+        if 0 <= column[t, v] < m:
+            assert row == column[t, v] and column[slot, row] == v, (t, v)
+        else:
+            assert row == m, (t, v)   # the padded 0 row
 
 
 def test_transpose_is_the_dense_transpose():
     rng = np.random.default_rng(8)
     x = random_slots(rng, (2, 2))
-    assert np.array_equal(densify(transpose(x, pattern(M))), densify(x).T)
+    assert np.array_equal(densify(transpose(x, vertex_pattern(M))), densify(x).T)
 
 
 def test_diag_block_multiplication_matches_dense():
@@ -52,7 +67,7 @@ def test_diag_block_multiplication_matches_dense():
     rng = np.random.default_rng(9)
     d = tuple(random_complex(rng, M) for _ in range(4))
     x = random_slots(rng, (2, 2))
-    left, right = mul_diag_block_left(d, x), mul_diag_block_right(x, d, pattern(M))
+    left, right = mul_diag_block_left(d, x), mul_diag_block_right(x, d, vertex_pattern(M))
     assert np.array_equal(densify(left), dense_mul_diag_block_left(d, densify(x)))
     assert np.array_equal(densify(right), dense_mul_diag_block_right(densify(x), d))
     assert np.allclose(densify(left), dense(d) @ densify(x), atol=1e-13)
@@ -69,7 +84,7 @@ def test_matmul_sums_each_block_then_the_blocks():
                                        axis=1)
                         for row in (((0,), (3, 4)), ((1,), (0, 2)))])
     y = np.conj(x.swapaxes(0, 1))
-    product = densify(matmul(x, y, pattern(M)))
+    product = densify(matmul(x, y, vertex_pattern(M)))
     a, b = densify(x), by_columns(y)
     expected = np.zeros_like(product)
     for i in range(2 * M):
@@ -82,7 +97,7 @@ def test_matmul_sums_each_block_then_the_blocks():
     assert np.allclose(product, a @ b, atol=1e-13)
     # and a product on every slot of the pattern: E L's shape
     e, ell = random_slots(rng, (1, 1), (0, 2)), random_slots(rng, (1, 1), (3, 4))
-    assert np.allclose(densify(matmul(e, ell, pattern(M))), densify(e) @ by_columns(ell),
+    assert np.allclose(densify(matmul(e, ell, vertex_pattern(M))), densify(e) @ by_columns(ell),
                        atol=1e-13)
 
 

@@ -371,8 +371,7 @@ def falk_cylinder_loop(cyl, measure, trunc):
 
 
 def test_falk_cylinder_closed_form_matches_level_loop():
-    measures = [ProductMeasure.uniform(), ProductMeasure.bernoulli(0.3),
-                ProductMeasure.per_level(0.2, 0.9, 0.55)]
+    measures = [ProductMeasure.uniform(), ProductMeasure.bernoulli(0.3)]
     for level in range(6):
         for i in range(1 << level):
             cyl = Cylinder(format(i, f"0{level}b") if level else "")

@@ -1,27 +1,38 @@
 import math
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chiralwalk.cli import CHECK_CELL_BYTES, CHECK_ROW_BYTES, CHECK_VERTEX_BYTES
+import chiralwalk.treeop as treeop
+from chiralwalk import cli
+from chiralwalk.cli import CHECK_CELL_BYTES, CHECK_ROW_BYTES
 from chiralwalk.linalg import matmul
-from chiralwalk.tree import truncated_tree
+from chiralwalk.tree import TruncatedTree, truncated_tree
 from chiralwalk.treeop import (IDENTITY_NAMES, build_bundle, check_identities,
                                chirality_direct, coin_blocks, conjugated_skew,
-                               conjugator_blocks, route_disagreement, row_count,
-                               shift_symmetry, tree_operators)
+                               coin_values, conjugator_blocks, route_disagreement,
+                               row_count, shift_symmetry, tree_operators)
 from chiralwalk.walk import WalkSpec, parse_walk
-from helpers import (addresses, assert_slots_exact, dense_chirality_direct,
+from helpers import (addresses, assert_slots_exact, class_firsts, dense_chirality_direct,
                      dense_conjugated_skew, dense_skew, dense_symmetry, dense_tree_operators,
-                     densify, expand_rows, random_walk_spec, refine_walk, shift_matrix,
-                     sphere_coeff, vertex_coins)
+                     densify, expand_rows, random_walk_spec, refine_walk, scan_eval_vertex,
+                     shift_matrix, slot_neighbours, sphere_coeff, vertex_coins,
+                     vertex_operators)
+
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "level2_walk.json"
 
 
 @pytest.fixture(scope="module")
 def ops6():
     return tree_operators(truncated_tree(6))
+
+
+@pytest.fixture(scope="module")
+def rows6():
+    return vertex_operators(6)
 
 
 @pytest.fixture(scope="module")
@@ -90,19 +101,21 @@ def test_isometry_and_defect_structure(dense6):
 @pytest.mark.parametrize("depth", range(1, 11))
 def test_defect_closed_form_is_the_dense_product(depth):
     # the closed form reproduces 1 - L L* bit for bit, signed zeros included,
-    # and the slots hold L's interior columns (by columns: the rows of L.T)
-    # and E's interior rows
+    # and the depth's two rows laid over the interior vertices hold L's
+    # interior columns (by columns: the rows of L.T) and E's interior rows
     t = truncated_tree(depth)
     isometry = shift_matrix(t) / math.sqrt(2.0)
     dense_defect = np.eye(t.size, dtype=np.complex128) - isometry @ isometry.conj().T
     dense = dense_tree_operators(t)
     assert dense.defect.tobytes() == dense_defect.tobytes()
     assert dense.isometry.tobytes() == isometry.tobytes()
+    assert tree_operators(t).isometry.shape == tree_operators(t).defect.shape == (1, 1, 5, 2)
     m = (1 << (depth - 1)) - 1
-    ops = tree_operators(t)
-    assert ops.isometry.shape == ops.defect.shape == (1, 1, 5, m)
-    assert_slots_exact(ops.isometry, isometry[:, :m].T, cols=t.size)
-    assert_slots_exact(ops.defect, dense_defect[:m], cols=t.size)
+    if m:   # depth 1 has no interior
+        ops = vertex_operators(depth)
+        assert ops.isometry.shape == ops.defect.shape == (1, 1, 5, m)
+        assert_slots_exact(ops.isometry, isometry[:, :m].T, cols=t.size)
+        assert_slots_exact(ops.defect, dense_defect[:m], cols=t.size)
 
 
 def test_tree_operators_real_entries(ops6, dense6):
@@ -113,25 +126,25 @@ def test_tree_operators_real_entries(ops6, dense6):
 
 # --- symmetry ---------------------------------------------------------------------
 
-def test_symmetry_specializes_at_p_zero(ops6, dense6):
-    n = ops6.tree.size
+def test_symmetry_specializes_at_p_zero(rows6, dense6):
+    n = rows6.tree.size
     m = (1 << 5) - 1
-    gamma = densify(shift_symmetry(ops6, 0.0, 1.0), cols=n)
+    gamma = densify(shift_symmetry(rows6, 0.0, 1.0), cols=n)
     assert np.array_equal(gamma[:m, :n], np.zeros((m, n)))
     assert np.array_equal(gamma[:m, n:], dense6.isometry.conj().T[:m])
     assert np.array_equal(gamma[m:, :n], dense6.isometry[:m])
     assert np.array_equal(gamma[m:, n:], dense6.defect[:m])
 
 
-def test_symmetry_squares_to_identity_on_interior(ops6, dense6):
+def test_symmetry_squares_to_identity_on_interior(rows6, dense6):
     rng = np.random.default_rng(12)
-    n = ops6.tree.size
+    n = rows6.tree.size
     m = (1 << 5) - 1
     for _ in range(5):
         angle = rng.uniform(0, np.pi)
         p = float(np.cos(angle))
         q = np.sqrt(1 - p * p) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        gamma = densify(shift_symmetry(ops6, p, q), cols=n)
+        gamma = densify(shift_symmetry(rows6, p, q), cols=n)
         residual = gamma @ gamma.conj().T - np.eye(2 * m)
         assert np.max(np.abs(residual)) < 1e-12, p
     block = gamma[:, np.r_[:m, n:n + m]]
@@ -158,8 +171,7 @@ def test_symmetry_degenerate_corner():
     assert np.max(np.abs(gamma[n:, :n])) == 0.0
     assert np.allclose(gamma[n:, n:], 2.0 * dense.defect - np.eye(n), atol=1e-14)
     assert np.max(np.abs(gamma @ gamma - np.eye(2 * n))) < 1e-14
-    ops = tree_operators(dense.tree)
-    strip = densify(shift_symmetry(ops, 1.0, 0.0), cols=n)
+    strip = densify(shift_symmetry(vertex_operators(4), 1.0, 0.0), cols=n)
     m = len(strip) // 2
     assert np.array_equal(strip, gamma[np.r_[:m, n:n + m]])
 
@@ -252,7 +264,7 @@ def test_identities_random_specs(ops6):
 def by_vertex(bundle):
     """The bundle's coin data, strip and interior skew part with each row
     repeated for every vertex of its class."""
-    first, m = bundle.ops.pattern.first, bundle.ops.tree.size // 4
+    first, m = class_firsts(bundle), bundle.ops.tree.size // 4
     return [expand_rows(x, first, m) for x in (bundle.a, bundle.b, bundle.symmetry, bundle.skew)]
 
 
@@ -293,7 +305,7 @@ def test_products_match_the_dense_oracle():
         for rule in ("leftmost", "rightmost"):
             bundle = build_bundle(w, depth, rule=rule)
             ops, n, m = bundle.ops, dense.tree.size, dense.tree.size // 4
-            full = lambda x: expand_rows(x, ops.pattern.first, m)
+            full = lambda x: expand_rows(x, class_firsts(bundle), m)
             inner2 = np.r_[:m, n:n + m]
             gamma = dense_symmetry(dense.isometry, dense.defect, w.p, w.q)[inner2]
             gram = densify(full(matmul(bundle.symmetry, np.conj(bundle.symmetry.swapaxes(0, 1)),
@@ -342,8 +354,7 @@ def test_row_counts_are_pinned():
     # and a class in each cell on each of the levels 2 .. d - 2: 3 + 4 (d - 3)
     # rows; a balanced code of level d - 2 keeps every interior vertex its
     # own row
-    config = Path(__file__).resolve().parent.parent / "configs" / "level2_walk.json"
-    w = parse_walk(config.read_text())
+    w = parse_walk(CONFIG.read_text())
     for depth, rows in ((4, 7), (10, 31), (16, 55)):
         assert row_count(w, depth) == len(build_bundle(w, depth).a) == rows
     balanced = refine_walk(w, 6)
@@ -417,9 +428,10 @@ def test_bundle_dimensions(ops6):
     n = 2 ** 7 - 1
     m = 2 ** 5 - 1
     rows = row_count(w, 6)
-    assert ops6.isometry.shape == ops6.defect.shape == (1, 1, 5, m)
+    assert ops6.isometry.shape == ops6.defect.shape == (1, 1, 5, 2)
     assert bundle.ops.isometry.shape == bundle.ops.defect.shape == (1, 1, 5, rows)
-    assert bundle.a.shape == bundle.b.shape == bundle.ops.pattern.first.shape == (rows,)
+    assert bundle.a.shape == bundle.b.shape == class_firsts(bundle).shape == (rows,)
+    assert bundle.ops.pattern.neighbour.shape == (5, rows)
     assert bundle.symmetry.shape == bundle.skew.shape == (2, 2, 5, rows)
     _, _, symmetry, skew = by_vertex(bundle)
     assert densify(symmetry, cols=n).shape == (2 * m, 2 * n)
@@ -483,17 +495,84 @@ def test_check_memory_is_linear_in_the_vertices():
 
 
 def test_check_memory_does_not_grow_with_the_cell_depth():
-    # a comb whose cells reach level 2000: the check's peak stays within the
-    # preflight's budget for its vertices, row classes and cells (about 10.7
-    # KB per vertex when every vertex's address was padded to the deepest
-    # cell level)
+    # a comb whose cells reach level 2000, and a balanced code whose every
+    # interior vertex is its own row class: the check's peak stays within the
+    # preflight's budget for its row classes and cells (about 10.7 KB per
+    # vertex when every vertex's address was padded to the deepest cell level)
     code = ["0" * k + "1" for k in range(2000)] + ["0" * 2000]
     rng = np.random.default_rng(55)
-    w = WalkSpec.make(0.3, np.sqrt(1 - 0.09),
-                      [(prefix, sphere_coeff(float(rng.uniform(-0.9, 0.9)))) for prefix in code])
-    budget = (CHECK_VERTEX_BYTES * truncated_tree(12).size + CHECK_ROW_BYTES * row_count(w, 12)
-              + CHECK_CELL_BYTES * len(code))
-    assert _check_peak(12, w) < budget
+    comb = WalkSpec.make(0.3, np.sqrt(1 - 0.09),
+                         [(prefix, sphere_coeff(float(rng.uniform(-0.9, 0.9)))) for prefix in code])
+    balanced = refine_walk(random_walk_spec(rng, max_level=3), 10)
+    assert row_count(balanced, 12) == truncated_tree(10).size
+    for w in (comb, balanced):
+        budget = CHECK_ROW_BYTES * row_count(w, 12) + CHECK_CELL_BYTES * len(w.cells)
+        assert _check_peak(12, w) < budget
+
+
+def test_check_holds_no_full_depth_arrays():
+    # configs/level2_walk.json keeps 63 row classes at depth 18: the check
+    # peaked at 60 MB while it built the depth's operators on all 131 071
+    # interior vertices and walked each vertex in the coin descent
+    assert _check_peak(18, parse_walk(CONFIG.read_text())) < 1e6
+
+
+def test_check_calls_each_traced_binding(monkeypatch):
+    # the benchmark's tracer counts the calls through these bindings of
+    # chiralwalk.treeop, per layer: one bundle and its check make one call to
+    # each of the first three, two products and five diagonal-block products
+    counts = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    names = ("truncated_tree", "tree_operators", "coin_values", "matmul",
+             "mul_diag_block_left", "mul_diag_block_right")
+    for name in names:
+        monkeypatch.setattr(treeop, name, counted(name, getattr(treeop, name)))
+    w = random_walk_spec(np.random.default_rng(59))
+    cli.check_identities(cli.build_bundle(w, 10))
+    assert [counts[name] for name in names] == [1, 1, 1, 2, 2, 3]
+
+
+def test_descent_names_the_classes_of_the_addresses():
+    # each interior vertex's class, found from its address (its cell and
+    # level inside a cell, the vertex itself above the cells), is a run
+    # that starts at its class's first vertex; the table names the class of
+    # each of the vertex's neighbours, and the class's coin is the vertex's
+    rng = np.random.default_rng(60)
+    for case in range(36):
+        depth, level = int(rng.integers(2, 14)), int(rng.integers(0, 7))
+        family = case % 3
+        if not level:   # the one-cell code
+            w = WalkSpec.make(0.3, np.sqrt(0.91), [("", sphere_coeff(0.4, 0.7))])
+        elif family == 0:
+            w = random_walk_spec(rng, max_level=level)
+        elif family == 1:   # a comb, often deeper than the interior
+            comb = ["0" * k + "1" for k in range(3 * level)] + ["0" * 3 * level]
+            w = WalkSpec.make(0.3, np.sqrt(0.91), [(prefix, sphere_coeff(0.1 * (k % 9) - 0.4))
+                                                   for k, prefix in enumerate(comb)])
+        else:   # balanced
+            w = refine_walk(random_walk_spec(rng, max_level=1), level)
+        vertices = addresses(depth - 2)
+        key = [next(((prefix, len(v)) for prefix in w.prefixes if v.startswith(prefix)), v)
+               for v in vertices]
+        start = [True] + [here != before for before, here in zip(key, key[1:])]
+        cls = np.cumsum(start) - 1
+        m, rows = len(vertices), int(cls[-1]) + 1
+        assert len(set(key)) == rows, (case, depth)   # each class is one run
+        column = slot_neighbours(m)
+        named = np.where((column >= 0) & (column < m), cls[np.clip(column, 0, m - 1)], rows)
+        for rule in ("leftmost", "rightmost"):
+            a, b, first, neighbour = coin_values(w, TruncatedTree(depth - 2), rule)
+            assert np.array_equal(first, np.flatnonzero(start)), (case, depth)
+            assert np.array_equal(neighbour[:, cls], named), (case, depth)
+            coins = [scan_eval_vertex(w, v, rule) for v in vertices]
+            assert a[cls].tolist() == [c.a for c in coins], (case, rule)
+            assert b[cls].tolist() == [c.b for c in coins], (case, rule)
 
 
 def test_build_bundle_rejects_mismatched_ops(ops6):
@@ -501,23 +580,6 @@ def test_build_bundle_rejects_mismatched_ops(ops6):
     w = random_walk_spec(rng)
     with pytest.raises(ValueError, match="depth"):
         build_bundle(w, 7, ops=ops6)
-
-
-def test_tree_operators_are_cached_per_depth_and_read_only():
-    first = tree_operators(truncated_tree(5))
-    assert tree_operators(truncated_tree(5)) is first
-    terms = [index for slot in first.pattern.terms for _, _, index in slot]
-    for x in (first.isometry, first.defect, first.pattern.first, first.pattern.neighbour,
-              first.pattern.transpose, *terms):
-        assert not x.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        first.defect[0, 0, 0, 0] = 2.0
-    # one depth is cached: another depth rebuilds, and so does the first again
-    other = tree_operators(truncated_tree(4))
-    assert other is not first and other.tree.depth == 4
-    again = tree_operators(truncated_tree(5))
-    assert again is not first
-    assert again.defect.tobytes() == first.defect.tobytes()
 
 
 # --- pinned residuals -------------------------------------------------------------
