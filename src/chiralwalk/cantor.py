@@ -87,11 +87,11 @@ class Cylinder:
 
 @dataclass(frozen=True)
 class ProductMeasure:
-    """Product measure on {0,1}^N determined by per-coordinate weights.
+    """Product measure on {0,1}^N with the same weights at every coordinate:
+    theta on symbol 0 and 1 - theta on symbol 1.
 
-    ``uniform``   : weight 1/2, 1/2 at every coordinate.
-    ``bernoulli`` : weight theta on symbol 0 and 1 - theta on symbol 1,
-                    identically at every coordinate.
+    ``uniform``   : theta = 1/2.
+    ``bernoulli`` : any theta in (0, 1).
     """
 
     kind: str
@@ -107,15 +107,9 @@ class ProductMeasure:
             raise ValueError(f"bernoulli weight must lie in (0, 1), got {theta}")
         return ProductMeasure("bernoulli", theta=theta)
 
-    def weight(self, coordinate: int, bit: str) -> float:
-        """Weight of ``bit`` at the given 1-based coordinate."""
-        if self.kind == "uniform":
-            w0 = 0.5
-        elif self.kind == "bernoulli":
-            w0 = self.theta
-        else:
-            raise ValueError(f"unknown measure kind {self.kind!r}")
-        return w0 if bit == "0" else 1.0 - w0
+    def weight(self, bit: str) -> float:
+        """Weight of ``bit`` at any coordinate."""
+        return self.theta if bit == "0" else 1.0 - self.theta
 
 
 def cylinder_measure(m: ProductMeasure, c: Cylinder) -> Union[Dyadic, float]:
@@ -126,8 +120,8 @@ def cylinder_measure(m: ProductMeasure, c: Cylinder) -> Union[Dyadic, float]:
     if m.kind == "uniform":
         return Dyadic.make(1, c.level)
     value = 1.0
-    for i, bit in enumerate(c.prefix, start=1):
-        value *= m.weight(i, bit)
+    for bit in c.prefix:
+        value *= m.weight(bit)
     return value
 
 

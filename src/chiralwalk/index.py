@@ -102,18 +102,18 @@ def s_index_exact(w: WalkSpec, m: ProductMeasure) -> IndexReport:
 MC_BLOCK = 1 << 14   # uniforms drawn per block, which bound the decode's memory
 
 
-def _decode_starts(u: np.ndarray, trie: CodeTrie, w0: np.ndarray):
+def _decode_starts(u: np.ndarray, trie: CodeTrie, w0: float, max_level: int):
     """Cell index and next start of the point starting at each position of
     ``u`` and at a sentinel position ``len(u)``.  Uniform ``u[s + k]`` is bit
-    k of the point starting at s ("0" below ``w0[k]``); pass k moves each
-    start whose bit k lies in ``u`` down the trie until all sit in cells.  A
-    start left at an inner node (its cell runs past ``u``) and the sentinel
-    keep cell -1 and depth 0, so they are their own next start."""
+    k of the point starting at s ("0" below ``w0``); pass k < ``max_level``
+    moves each start whose bit k lies in ``u`` down the trie until all sit in
+    cells.  A start left at an inner node (its cell runs past ``u``) and the
+    sentinel keep cell -1 and depth 0, so they are their own next start."""
     table, inner, depth, n = trie.table, trie.inner, trie.depth, len(u)
-    node = np.zeros(n + 1, dtype=np.intp)    # the sentinel stays at the root
-    for k, w in enumerate(w0[:n]):
+    node, one = np.zeros(n + 1, dtype=np.intp), u >= w0   # the sentinel stays at the root
+    for k in range(min(max_level, n)):
         head = node[:n - k]
-        head[:] = table[2 * head + (u[k:] >= w)]
+        head[:] = table[2 * head + one[k:]]
         if head.min() >= inner:
             break
     return np.where(node >= inner, node - inner, -1), np.arange(n + 1) + depth[node]
@@ -140,7 +140,7 @@ def _sample_cells(prefixes: list[str], m: ProductMeasure, samples: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Cell index of each of ``samples`` boundary points drawn from ``m``.
 
-    Bit k of a point is "0" when its uniform is below ``m.weight(k + 1, "0")``
+    Each bit of a point is "0" when its uniform is below ``m.weight("0")``
     and each point reads its bits until they spell a cell, so point i + 1
     starts at the uniform after point i's last.  The uniforms come from
     ``rng.random(k)`` in blocks of ``MC_BLOCK``, which is the stream of scalar
@@ -152,13 +152,12 @@ def _sample_cells(prefixes: list[str], m: ProductMeasure, samples: int,
     max_level = max(len(p) for p in prefixes)
     if max_level == 0:                        # one cell: the whole boundary
         return np.zeros(samples, dtype=np.intp)
-    trie = code_trie(prefixes)
-    w0 = np.array([m.weight(k, "0") for k in range(1, max_level + 1)])
+    trie, w0 = code_trie(prefixes), m.weight("0")
     chunks, remaining = [], samples
     u = np.empty(0)
     while remaining:
         u = np.concatenate([u, rng.random(min(remaining * max_level, MC_BLOCK))])
-        cell, nxt = _decode_starts(u, trie, w0)
+        cell, nxt = _decode_starts(u, trie, w0, max_level)
         path = _orbit(nxt, min(remaining, len(u) + 1))  # a chain in u ends by then
         cells = cell[path]
         cut = np.flatnonzero(cells < 0)

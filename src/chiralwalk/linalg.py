@@ -10,9 +10,11 @@ that neighbour is missing or outside the block's columns (an m x n strip
 reaches past the interior only through the child slots).  The pattern is
 built from a (5, R) table naming the class of each N_s(v); it knows nothing
 else of the classes.  A block held by columns is its transpose held by rows;
-an operator is a grid of blocks, an (I, J, 5, R) array.  Products and
-transposes are gathers on fixed index arrays plus elementwise numpy, so each
-kept entry is formed from the same operands as in the whole block.
+an operator is a grid of blocks, an (I, J, 5, R) array, and a coin-type
+operator, diagonal in each of its 2 x 2 blocks, the (2, 2, R) array of those
+diagonals.  Products and transposes are gathers on fixed index arrays plus
+elementwise numpy, so each kept entry is formed from the same operands as in
+the whole block.
 
 Sum order, which the pinned residual digits fix: each entry is its terms in
 column order summed as ``np.add.reduceat`` sums a run, t0 + ((t1 + t2) + t3).
@@ -33,6 +35,7 @@ import numpy as np
 
 SELF, PARENT, SIBLING, CHILD0, CHILD1 = range(5)
 _CHILD, _OTHER = -1, -2  # v's own slot below its parent, and its sibling's
+_BLOCKS = ((0, 0), (0, 1), (1, 0), (1, 1))  # a 2 x 2 grid's blocks; faster than np.ndindex
 _TRANSPOSE = (SELF, _CHILD, SIBLING, PARENT, PARENT)  # slot s of x.T is x's slot of N_s(v)
 # per output slot t, the pairs (slot s of x's row v, slot u of y's column w)
 # whose path v -> N_s(v) = N_u(w) ends at w = N_t(v), in column order
@@ -102,29 +105,21 @@ def matmul(x: np.ndarray, y: np.ndarray, p: Pattern) -> np.ndarray:
     return out
 
 
-def mul_diag_block_left(d, x: np.ndarray) -> np.ndarray:
-    """D @ x for D = [[d11, d12], [d21, d22]] of diagonal blocks and a 2 x 2
-    grid x: each slot of row v scaled by the diagonal at v."""
-    d, out = np.reshape(d, (2, 2, -1)), np.empty(x.shape, dtype=np.complex128)
-    for i, j in np.ndindex(2, 2):
+def mul_diag_block_left(d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """D @ x for a coin-type operator D and a 2 x 2 grid x, or another such
+    D: each slot of row v scaled by the diagonals at v."""
+    out = np.empty(x.shape, dtype=np.complex128)
+    for i, j in _BLOCKS:
         out[i, j] = np.multiply(d[i, 0], x[0, j]) + np.multiply(d[i, 1], x[1, j])
     return out
 
 
-def mul_diag_block_right(x: np.ndarray, d, p: Pattern) -> np.ndarray:
-    """x @ D for D = [[d11, d12], [d21, d22]] of diagonal blocks and a 2 x 2
-    grid x: each slot scaled by the diagonal at its column.  Both products go
-    block by block: numpy multiplies a grid broadcast along its block axes
-    several times slower."""
-    d, out = at_neighbours(np.reshape(d, (2, 2, -1)), p), np.empty(x.shape, dtype=np.complex128)
-    for i, j in np.ndindex(2, 2):
+def mul_diag_block_right(x: np.ndarray, d: np.ndarray, p: Pattern) -> np.ndarray:
+    """x @ D for a 2 x 2 grid x and a coin-type operator D: each slot scaled
+    by the diagonals at its column.  Both products go block by block: numpy
+    multiplies a grid broadcast along its block axes several times slower,
+    and on many rows a broadcast of D alone too."""
+    d, out = at_neighbours(d, p), np.empty(x.shape, dtype=np.complex128)
+    for i, j in _BLOCKS:
         out[i, j] = np.multiply(x[i, 0], d[0, j]) + np.multiply(x[i, 1], d[1, j])
     return out
-
-
-def diag_block_product(d, e):
-    """Blocks of D @ E when both factors are 2x2 diagonal-block matrices."""
-    d11, d12, d21, d22 = (np.asarray(v) for v in d)
-    e11, e12, e21, e22 = (np.asarray(v) for v in e)
-    return (d11 * e11 + d12 * e21, d11 * e12 + d12 * e22,
-            d21 * e11 + d22 * e21, d21 * e12 + d22 * e22)

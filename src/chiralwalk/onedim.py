@@ -75,9 +75,9 @@ def chirality_map(bundle: LineBundle) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     The coin's +1 and -1 eigenvectors are the per-site columns
     U+ = (u1, u2) = (s+, b/s+)/sqrt(2) and V = (v1, v2) = (-s-, b/s-)/sqrt(2),
-    s+- = sqrt(1 +- a): the blocks of the tree's conjugator.
+    s+- = sqrt(1 +- a): the columns of the tree's conjugator.
     """
-    u1, v1, u2, v2 = conjugator_blocks(bundle.a, bundle.b)
+    (u1, v1), (u2, v2) = conjugator_blocks(bundle.a, bundle.b)
     root2 = math.sqrt(2.0)
     diag = root2 * (np.conj(v1) * u1 - np.conj(v2) * u2)
     sup = root2 * np.conj(v1[:-1]) * u2[1:]

@@ -9,7 +9,7 @@ are therefore restricted to the interior (depth <= d - 2), where compression
 artifacts vanish; the margin is two layers because the chirality block
 composes two depth-shifting factors.  The interior is the first
 m = 2^(d-1) - 1 vertices in breadth-first order.  Tree operators are slot
-arrays (chiralwalk.linalg) and coin-type operators their diagonal blocks.
+arrays and coin-type operators (2, 2, R) arrays of diagonals (chiralwalk.linalg).
 The coin is constant on the cylinders of the walk's cells, so every vertex of
 one cell at one level has the same coin and the same neighbourhood: a walk's
 blocks hold one row per such class, and one per vertex above the cells.  The
@@ -25,9 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .cantor import code_trie
-from .linalg import (CHILD0, CHILD1, PARENT, SELF, SIBLING, Pattern, at_neighbours,
-                     diag_block_product, matmul, mul_diag_block_left, mul_diag_block_right,
-                     pattern, transpose)
+from .linalg import (CHILD0, CHILD1, PARENT, SELF, SIBLING, Pattern, at_neighbours, matmul,
+                     mul_diag_block_left, mul_diag_block_right, pattern, transpose)
 from .tree import TruncatedTree, truncated_tree
 from .walk import WalkSpec
 
@@ -125,24 +124,19 @@ def row_count(w: WalkSpec, depth: int) -> int:
     return rows
 
 
-def coin_blocks(a: np.ndarray, b: np.ndarray):
-    """Diagonal blocks of the coin symmetry [[a, conj(b)], [b, -a]]."""
-    return (a.astype(np.complex128), np.conj(b), b, -a.astype(np.complex128))
+def coin_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The coin symmetry [[a, conj(b)], [b, -a]] as its (2, 2, R) diagonals."""
+    return np.array([[a.astype(np.complex128), np.conj(b)], [b, -a.astype(np.complex128)]])
 
 
-def conjugator_blocks(a: np.ndarray, b: np.ndarray):
-    """Diagonal blocks of the unitary that diagonalizes the coin pointwise:
-    (1/sqrt 2) [[s+, -s-], [b/s+, b/s-]] with s+- = sqrt(1 +- a)."""
+def conjugator_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The unitary that diagonalizes the coin pointwise, (1/sqrt 2) [[s+, -s-],
+    [b/s+, b/s-]] with s+- = sqrt(1 +- a), as its (2, 2, R) diagonals."""
     if np.any(np.abs(a) >= 1.0):
         raise ValueError("conjugator undefined where |a| = 1")
     r, s_plus, s_minus = 1.0 / math.sqrt(2.0), np.sqrt(1.0 + a), np.sqrt(1.0 - a)
-    return (r * s_plus.astype(np.complex128), -r * s_minus.astype(np.complex128),
-            r * b / s_plus, r * b / s_minus)
-
-
-def _dagger_blocks(d):
-    d11, d12, d21, d22 = d
-    return (np.conj(d11), np.conj(d21), np.conj(d12), np.conj(d22))
+    return np.array([[r * s_plus.astype(np.complex128), -r * s_minus.astype(np.complex128)],
+                     [r * b / s_plus, r * b / s_minus]])
 
 
 def shift_symmetry(ops: TreeOperators, p: float, q: complex) -> np.ndarray:
@@ -180,17 +174,16 @@ def chirality_direct(p: float, q: complex, a: np.ndarray, b: np.ndarray,
     return out[None, None]
 
 
-def conjugated_skew(skew: np.ndarray, eps, p: Pattern) -> np.ndarray:
+def conjugated_skew(skew: np.ndarray, eps: np.ndarray, p: Pattern) -> np.ndarray:
     """The skew part conjugated into the coin eigenbasis: eps* Q eps, for the
-    conjugator's diagonal blocks ``eps``.  Its lower-left block is the
-    chirality operator."""
-    return mul_diag_block_left(_dagger_blocks(eps), mul_diag_block_right(skew, eps, p))
+    conjugator ``eps``.  Its lower-left block is the chirality operator."""
+    return mul_diag_block_left(np.conj(eps.swapaxes(0, 1)), mul_diag_block_right(skew, eps, p))
 
 
 @dataclass
 class OperatorBundle:
     """What ``check_identities`` and ``route_disagreement`` read: the coin
-    data and the diagonal blocks of the coin on the walk's row classes of the
+    data and the coin's (2, 2, R) diagonals on the walk's row classes of the
     interior, the tree operators laid over them, and held by rows the
     2m x 2n ``symmetry`` strip and the 2m x 2m interior block ``skew`` of U - U*."""
 
@@ -198,7 +191,7 @@ class OperatorBundle:
     ops: TreeOperators
     a: np.ndarray
     b: np.ndarray
-    coin: tuple
+    coin: np.ndarray
     symmetry: np.ndarray
     skew: np.ndarray
 
@@ -230,10 +223,9 @@ IDENTITY_NAMES = ("symmetry_squared", "coin_squared", "conjugator_unitary", "coi
 _IDENTITY = np.eye(2)[:, :, None, None] * (np.arange(5) == SELF)[:, None]  # 1, by rows
 
 
-def _block_residual(blocks, diagonal: tuple[float, float]) -> float:
-    """Max |block - target| over the blocks, the target ``diagonal`` on d11, d22."""
-    d11, d12, d21, d22 = blocks
-    return float(np.max(np.abs([d11 - diagonal[0], d12, d21, d22 - diagonal[1]])))
+def _block_residual(d: np.ndarray, diagonal: tuple[float, float]) -> float:
+    """Max |D - diag(diagonal)| over a coin-type operator's diagonals."""
+    return _max_abs(d - np.diag(diagonal)[..., None])
 
 
 def _max_abs(values: np.ndarray) -> float:
@@ -250,14 +242,14 @@ def check_identities(bundle: OperatorBundle) -> dict[str, float]:
     symmetry square and E L contract over the truncation."""
     gamma, skew, ops = bundle.symmetry, bundle.skew, bundle.ops
     cblocks, eblocks = bundle.coin, conjugator_blocks(bundle.a, bundle.b)
-    edagger = _dagger_blocks(eblocks)
+    edagger = np.conj(eblocks.swapaxes(0, 1))
     return {  # each product is dropped once its residual is read
         "symmetry_squared": _max_abs(  # gamma* by columns: conj(gamma), grid transposed
             matmul(gamma, np.conj(gamma.swapaxes(0, 1)), ops.pattern) - _IDENTITY),
-        "coin_squared": _block_residual(diag_block_product(cblocks, cblocks), (1, 1)),
-        "conjugator_unitary": _block_residual(diag_block_product(edagger, eblocks), (1, 1)),
+        "coin_squared": _block_residual(mul_diag_block_left(cblocks, cblocks), (1, 1)),
+        "conjugator_unitary": _block_residual(mul_diag_block_left(edagger, eblocks), (1, 1)),
         "coin_diagonalized": _block_residual(
-            diag_block_product(edagger, diag_block_product(cblocks, eblocks)), (1, -1)),
+            mul_diag_block_left(edagger, mul_diag_block_left(cblocks, eblocks)), (1, -1)),
         "defect_kills_shift": _max_abs(matmul(ops.defect, ops.isometry, ops.pattern)),
         "coin_anticommutes_skew": _max_abs(mul_diag_block_left(cblocks, skew)
                                            + mul_diag_block_right(skew, cblocks, ops.pattern)),

@@ -234,21 +234,18 @@ def assert_slots_exact(x: np.ndarray, dense: np.ndarray, cols: int | None = None
     assert not np.any(dense[off])
 
 
-def dense_mul_diag_block_left(d, x: np.ndarray) -> np.ndarray:
-    """D @ x for D the 2x2 diagonal-block matrix with blocks d = (d11, d12, d21, d22)."""
-    d11, d12, d21, d22 = (np.asarray(v) for v in d)
+def dense_mul_diag_block_left(d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """D @ x for D the 2x2 diagonal-block matrix of the (2, 2, n) diagonals d."""
     n = x.shape[0] // 2
     top, bot = x[:n], x[n:]
-    return np.vstack([d11[:, None] * top + d12[:, None] * bot,
-                      d21[:, None] * top + d22[:, None] * bot])
+    return np.vstack([d[i, 0][:, None] * top + d[i, 1][:, None] * bot for i in (0, 1)])
 
 
-def dense_mul_diag_block_right(x: np.ndarray, d) -> np.ndarray:
-    """x @ D for D the 2x2 diagonal-block matrix with blocks d = (d11, d12, d21, d22)."""
-    d11, d12, d21, d22 = (np.asarray(v) for v in d)
+def dense_mul_diag_block_right(x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """x @ D for D the 2x2 diagonal-block matrix of the (2, 2, n) diagonals d."""
     n = x.shape[1] // 2
     left, right = x[:, :n], x[:, n:]
-    return np.hstack([left * d11 + right * d21, left * d12 + right * d22])
+    return np.hstack([left * d[0, j] + right * d[1, j] for j in (0, 1)])
 
 
 # --- row classes ----------------------------------------------------------------
@@ -388,9 +385,8 @@ def dense_chirality_direct(p: float, q: complex, a: np.ndarray, b: np.ndarray,
 def dense_conjugated_skew(skew: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """eps* Q eps on a dense skew part Q.  Oracle for ``treeop.conjugated_skew``."""
     eps = conjugator_blocks(a, b)
-    d11, d12, d21, d22 = eps
-    dagger = (np.conj(d11), np.conj(d21), np.conj(d12), np.conj(d22))
-    return dense_mul_diag_block_left(dagger, dense_mul_diag_block_right(skew, eps))
+    return dense_mul_diag_block_left(np.conj(eps.swapaxes(0, 1)),
+                                     dense_mul_diag_block_right(skew, eps))
 
 
 def random_partition(rng: np.random.Generator, max_level: int, splits: int | None = None):
@@ -428,21 +424,20 @@ def random_walk_spec(rng: np.random.Generator, max_level: int = 3,
 
 
 def reference_montecarlo(w: WalkSpec, m, samples: int, seed: int):
-    """The scalar Monte Carlo pairing: one ``rng.random()`` and one
-    ``m.weight`` call per boundary bit.  Reference for the vectorized decode
+    """The scalar Monte Carlo pairing: one ``rng.random()`` per boundary bit,
+    compared with ``m.weight("0")``.  Reference for the vectorized decode
     in ``s_index_montecarlo``, whose reports must match it byte for byte."""
     from chiralwalk.index import CellWinding, IndexReport, loop_for_cell
     from chiralwalk.symbol import winding_quadrature
 
     cell_winding = {prefix: int(round(winding_quadrature(loop_for_cell(w, coeff))))
                     for prefix, coeff in w.cells}
-    rng = np.random.default_rng(seed)
+    rng, w0 = np.random.default_rng(seed), m.weight("0")
     hits = {prefix: 0 for prefix in cell_winding}
     values = np.empty(samples, dtype=float)
     for i in range(samples):
         prefix = ""
         while prefix not in cell_winding:
-            w0 = m.weight(len(prefix) + 1, "0")
             prefix += "0" if rng.random() < w0 else "1"
         hits[prefix] += 1
         values[i] = cell_winding[prefix]
@@ -527,8 +522,7 @@ def dense_build_line(spec: LineWalkSpec, halfwidth: int) -> DenseLineBundle:
     eye = np.eye(n_sites, dtype=np.complex128)
     symmetry = np.block([[eye, shift.conj().T], [shift, -eye]]) / math.sqrt(2.0)
     del shift, eye
-    cblocks = (a.astype(np.complex128), np.conj(b), b, -a.astype(np.complex128))
-    evolution = dense_mul_diag_block_right(symmetry, cblocks)
+    evolution = dense_mul_diag_block_right(symmetry, coin_blocks(a, b))
     del symmetry
     skew = evolution - evolution.conj().T
     return DenseLineBundle(spec=spec, halfwidth=halfwidth, sites=sites, a=a, b=b, skew=skew)

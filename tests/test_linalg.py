@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from chiralwalk.linalg import (diag_block_product, matmul, mul_diag_block_left,
-                               mul_diag_block_right, pattern, transpose)
+from chiralwalk.linalg import matmul, mul_diag_block_left, mul_diag_block_right, pattern, transpose
 from helpers import (dense_mul_diag_block_left, dense_mul_diag_block_right, densify,
                      slot_neighbours)
 
@@ -29,9 +28,8 @@ def by_columns(y):
 
 
 def dense(d):
-    """The dense 2x2 block matrix whose blocks are diag(d11), ..., diag(d22)."""
-    d11, d12, d21, d22 = d
-    return np.block([[np.diag(d11), np.diag(d12)], [np.diag(d21), np.diag(d22)]])
+    """The dense 2x2 block matrix whose blocks are diag(d[0, 0]), ..., diag(d[1, 1])."""
+    return np.block([[np.diag(block) for block in row] for row in d])
 
 
 def vertex_pattern(m):
@@ -65,7 +63,7 @@ def test_transpose_is_the_dense_transpose():
 def test_diag_block_multiplication_matches_dense():
     # each output entry is the same two-term sum as the dense kernel's
     rng = np.random.default_rng(9)
-    d = tuple(random_complex(rng, M) for _ in range(4))
+    d = random_complex(rng, 2, 2, M)
     x = random_slots(rng, (2, 2))
     left, right = mul_diag_block_left(d, x), mul_diag_block_right(x, d, vertex_pattern(M))
     assert np.array_equal(densify(left), dense_mul_diag_block_left(d, densify(x)))
@@ -102,9 +100,11 @@ def test_matmul_sums_each_block_then_the_blocks():
 
 
 def test_diag_block_product_matches_dense():
+    # the product of two coin-type operators is again one, entry by entry the
+    # dense kernel's two-term sum
     rng = np.random.default_rng(11)
     n = 5
-    d = tuple(random_complex(rng, n) for _ in range(4))
-    e = tuple(random_complex(rng, n) for _ in range(4))
-    combined = dense(diag_block_product(d, e))
+    d, e = random_complex(rng, 2, 2, n), random_complex(rng, 2, 2, n)
+    combined = dense(mul_diag_block_left(d, e))
+    assert np.array_equal(combined, dense_mul_diag_block_left(d, dense(e)))
     assert np.allclose(combined, dense(d) @ dense(e), atol=1e-13)

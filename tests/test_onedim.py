@@ -279,6 +279,23 @@ def test_sine_band_is_inconclusive():
     assert result == fredholm_index(wide, tol=1e-8)
 
 
+@pytest.mark.parametrize("middle, kernel", [(1.0, 1), (1.0 + 5e-10, None), (1.001, 0)])
+def test_null_count_meets_the_ambiguous_band_on_hand_built_diagonals(middle, kernel):
+    # walk-derived sines stay far from tol, so the band is reached by hand:
+    # tails x_{i-1} + 2.5 x_i + x_{i+1} = 0 decay as (-2)^i to the left and
+    # (-1/2)^i to the right, and the two lines meet where the middle entry is 1
+    diag = np.full(12, 2.5 + 0j)
+    diag[6] = middle
+    sub = sup = np.ones(11, dtype=np.complex128)
+    if kernel is None:   # sine 1.02e-7, inside (tol, AMBIGUOUS_FACTOR tol)
+        with pytest.raises(InconclusiveIndexError, match=r"sine 1\.02e-07 .* inside"):
+            onedim._null_count(sub, diag, sup, 1e-8)
+        return
+    count, sine, margins = onedim._null_count(sub, diag, sup, 1e-8)
+    assert count == kernel and margins == pytest.approx((0.5, 0.5))
+    assert sine < 1e-13 if kernel else sine == pytest.approx(0.159, abs=1e-3)
+
+
 def test_tail_rule_disagreement_is_inconclusive(monkeypatch):
     monkeypatch.setattr(onedim, "classify_point", lambda a, p: 0)
     with pytest.raises(InconclusiveIndexError, match="tail windings"):

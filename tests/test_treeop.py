@@ -41,9 +41,8 @@ def dense6():
 
 
 def dense(d):
-    """The dense 2x2 block matrix whose blocks are diag(d11), ..., diag(d22)."""
-    d11, d12, d21, d22 = d
-    return np.block([[np.diag(d11), np.diag(d12)], [np.diag(d21), np.diag(d22)]])
+    """The dense 2x2 block matrix whose blocks are diag(d[0, 0]), ..., diag(d[1, 1])."""
+    return np.block([[np.diag(block) for block in row] for row in d])
 
 
 def chirality(w, dense_ops, rule="leftmost"):
@@ -520,7 +519,8 @@ def test_check_holds_no_full_depth_arrays():
 def test_check_calls_each_traced_binding(monkeypatch):
     # the benchmark's tracer counts the calls through these bindings of
     # chiralwalk.treeop, per layer: one bundle and its check make one call to
-    # each of the first three, two products and five diagonal-block products
+    # each of the first three, two products and nine diagonal-block products
+    # (four of them of two coin-type operators)
     counts = Counter()
 
     def counted(name, fn):
@@ -535,7 +535,7 @@ def test_check_calls_each_traced_binding(monkeypatch):
         monkeypatch.setattr(treeop, name, counted(name, getattr(treeop, name)))
     w = random_walk_spec(np.random.default_rng(59))
     cli.check_identities(cli.build_bundle(w, 10))
-    assert [counts[name] for name in names] == [1, 1, 1, 2, 2, 3]
+    assert [counts[name] for name in names] == [1, 1, 1, 2, 6, 3]
 
 
 def test_descent_names_the_classes_of_the_addresses():
