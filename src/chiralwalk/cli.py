@@ -49,11 +49,11 @@ BASE_BYTES = 64e6    # interpreter, numpy and BLAS before the first dense array
 # a decode block under 5 MB at any code depth), 710 B per sweep row (with its loop), 32 B
 # per range-grid value, 48 B per unit of falk --trunc (the diagonals of its banded factors),
 # 208 B per lattice site that onedim reads (the bundle's coefficient arrays, the chirality
-# diagonals and the transfer matrices), and for a check at depths 12-20: 2185-2355 B per
-# row class of the interior (the coin descent, the bundle and the products; a balanced
-# code whose every interior vertex is its own class, up to 1.23 GB at depth 20) and 330 B
-# per cell (the code's trie; the level-2000 comb), beside a fixed 20-30 KB of index
-# tuples and array headers inside BASE_BYTES
+# diagonals and the transfer matrices), and for a check at depths 12-20: 2187-2193 B per
+# row class of the interior (the coin descent, the bundle and the products; 2352-2358 B
+# with the cells of a balanced code whose every interior vertex is its own class, 1.23 GB
+# at depth 20) and 330 B per cell (the code's trie; the level-2000 comb), beside a fixed
+# 20-30 KB of index tuples and array headers inside BASE_BYTES
 CIRCLE_SAMPLE_BYTES = 80
 MC_SAMPLE_BYTES = 32
 ROW_BYTES = 800

@@ -221,15 +221,11 @@ def build_bundle(w: WalkSpec, depth: int, rule: str = "leftmost",
 IDENTITY_NAMES = ("symmetry_squared", "coin_squared", "conjugator_unitary", "coin_diagonalized",
                   "defect_kills_shift", "coin_anticommutes_skew", "conjugated_skew_diag_blocks")
 _IDENTITY = np.eye(2)[:, :, None, None] * (np.arange(5) == SELF)[:, None]  # 1, by rows
-
-
-def _block_residual(d: np.ndarray, diagonal: tuple[float, float]) -> float:
-    """Max |D - diag(diagonal)| over a coin-type operator's diagonals."""
-    return _max_abs(d - np.diag(diagonal)[..., None])
+_UNIT, _DIAGONALIZED = np.eye(2)[..., None], np.diag([1.0, -1.0])[..., None]  # as diagonals
 
 
 def _max_abs(values: np.ndarray) -> float:
-    return float(np.max(np.abs(values), initial=0.0))
+    return float(abs(values).max(initial=0.0))
 
 
 def check_identities(bundle: OperatorBundle) -> dict[str, float]:
@@ -246,10 +242,10 @@ def check_identities(bundle: OperatorBundle) -> dict[str, float]:
     return {  # each product is dropped once its residual is read
         "symmetry_squared": _max_abs(  # gamma* by columns: conj(gamma), grid transposed
             matmul(gamma, np.conj(gamma.swapaxes(0, 1)), ops.pattern) - _IDENTITY),
-        "coin_squared": _block_residual(mul_diag_block_left(cblocks, cblocks), (1, 1)),
-        "conjugator_unitary": _block_residual(mul_diag_block_left(edagger, eblocks), (1, 1)),
-        "coin_diagonalized": _block_residual(
-            mul_diag_block_left(edagger, mul_diag_block_left(cblocks, eblocks)), (1, -1)),
+        "coin_squared": _max_abs(mul_diag_block_left(cblocks, cblocks) - _UNIT),
+        "conjugator_unitary": _max_abs(mul_diag_block_left(edagger, eblocks) - _UNIT),
+        "coin_diagonalized": _max_abs(
+            mul_diag_block_left(edagger, mul_diag_block_left(cblocks, eblocks)) - _DIAGONALIZED),
         "defect_kills_shift": _max_abs(matmul(ops.defect, ops.isometry, ops.pattern)),
         "coin_anticommutes_skew": _max_abs(mul_diag_block_left(cblocks, skew)
                                            + mul_diag_block_right(skew, cblocks, ops.pattern)),

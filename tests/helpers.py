@@ -3,8 +3,9 @@ file formats that ``chiralwalk.walk`` parses, the address enumeration that
 witnesses the breadth-first vertex index of ``chiralwalk.tree``, the
 partition refinement by a sorted search and the scans that witness the
 prefix-code lookups of ``chiralwalk.cantor`` and ``chiralwalk.treeop``, the
-dense two-term kernels and the address-built neighbour pattern that witness
-the slot kernel of ``chiralwalk.linalg``, the row expansion and the dense
+dense two-term kernels, the address-built neighbour pattern, the pattern's
+index arrays formed one at a time and the one-entry-at-a-time product that
+witness the slot kernel of ``chiralwalk.linalg``, the row expansion and the dense
 full-truncation tree route that witness the tree operators and bundle of
 ``chiralwalk.treeop``, the dense Falk trace that witnesses
 ``chiralwalk.symbol.falk_pairing``, and the per-site lookup and dense lattice
@@ -20,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from chiralwalk.cantor import Cylinder, check_prefix_partition, check_vertex
+from chiralwalk.linalg import _CHILD, _OTHER, _TERMS, _TRANSPOSE, CHILD0, CHILD1, PARENT
 from chiralwalk.onedim import CRITICAL, TAIL_GAP, TAIL_SITES
 from chiralwalk.symbol import unilateral_shift
 from chiralwalk.tree import TruncatedTree
@@ -172,10 +174,12 @@ def dense_falk_pairing(f_value: int, trunc: int) -> float:
 #
 # The slot kernel holds a block by its entries at each vertex's self, parent,
 # sibling and children; the oracle here finds those neighbours from the
-# vertex addresses.  The coin-type products as ``chiralwalk.linalg`` formed
-# them on dense matrices before it held operators sparsely: every output
-# entry is the same two-term sum the slot kernels form, so their densified
-# results must agree exactly.
+# vertex addresses.  The pattern's index arrays are witnessed one array at
+# a time, and its product one entry and one block at a time, against the
+# kernel's one numpy call per operation.  The coin-type products as
+# ``chiralwalk.linalg`` formed them on dense matrices before it held operators
+# sparsely: every output entry is the same two-term sum the slot kernels
+# form, so their densified results must agree exactly.
 
 
 def slot_neighbours(m: int) -> np.ndarray:
@@ -191,6 +195,42 @@ def slot_neighbours(m: int) -> np.ndarray:
         for s, u in enumerate((v, parent, sibling, v + "0", v + "1")):
             if u is not None:
                 out[s, i] = index[u]
+    return out
+
+
+def witness_pattern(neighbour: np.ndarray):
+    """The transpose rows and per-output-slot terms (x slot, y slots, index)
+    of ``linalg.pattern``, each index array formed on its own: slot u of the
+    neighbour N_t(v) at u * (R + 1) + N_t(v), with a row's own slot below its
+    parent or its sibling's for the placeholders.  Witness for the single
+    (22, R) array that ``linalg.pattern`` builds."""
+    rows = neighbour.shape[1]
+    below = np.append(neighbour[CHILD0], rows)[neighbour[PARENT]]
+    own = np.where(below == np.arange(rows), CHILD0, CHILD1)
+    slot = {_CHILD: own, _OTHER: CHILD0 + CHILD1 - own}
+    index = lambda u, t: slot.get(u, u) * (rows + 1) + neighbour[t]  # slot u of N_t(v)
+    terms = tuple(tuple((s, (u,) if u >= 0 else (CHILD0, CHILD1), index(u, t)) for s, u in pairs)
+                  for t, pairs in enumerate(_TERMS))
+    return np.stack([index(u, t) for t, u in enumerate(_TRANSPOSE)]), terms
+
+
+def reference_matmul(x: np.ndarray, y: np.ndarray, neighbour: np.ndarray) -> np.ndarray:
+    """``linalg.matmul`` one output entry and one block at a time: for each
+    entry, each block's kept terms summed in column order and added to the
+    entry in block order, a term kept when its x slot and one of its y slots
+    are nonzero somewhere in their blocks.  The reference order of the
+    kernel's bitmask skip."""
+    _, terms = witness_pattern(neighbour)
+    xs, ys = np.any(x, axis=-1).tolist(), np.any(y, axis=-1).tolist()
+    flat = np.concatenate((y, np.zeros(y.shape[:-1] + (1,), dtype=y.dtype)), axis=-1)
+    flat = flat.reshape(y.shape[:2] + (-1,))
+    out = np.zeros((x.shape[0], y.shape[1]) + x.shape[2:], dtype=np.complex128)
+    for i, j, t in np.ndindex(out.shape[:3]):
+        for h in range(x.shape[1]):
+            held = [np.multiply(x[i, h, s], flat[h, j, index]) for s, slots, index in terms[t]
+                    if xs[i][h][s] and any(ys[h][j][u] for u in slots)]
+            if held:
+                out[i, j, t] += sum(held[1:], held[0])
     return out
 
 
